@@ -1,0 +1,11 @@
+//go:build !unix
+
+package main
+
+import "time"
+
+// Without getrusage the CPU and memory metrics read 0; the benchmark's
+// reference platform is Linux.
+func cpuTime() time.Duration { return 0 }
+
+func peakRSSMB() float64 { return 0 }
