@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -312,14 +313,75 @@ func (r *Replica) sealAndSendReply(pa *pendingApply) {
 	}
 }
 
+// span is the unit of reaping: the applies one tryExecute pass submitted
+// and, when the region has a flusher, the flush point that follows them.
+type span struct {
+	applies []*pendingApply
+	flush   *flushPoint // nil without a flusher
+}
+
+// flushPoint is one state.Flusher capture. The capture runs as an engine
+// barrier behind the span's mutations; persist and pages are written by
+// it and read through the task's done channel or exec.WaitIdle.
+type flushPoint struct {
+	task    *exec.Task
+	pages   int
+	persist func() error
+}
+
+// submitFlushPoint schedules the capture closing the current span. As an
+// unkeyed Submit it orders after every mutation of the span and before
+// anything submitted later, at any shard count; the serial engine runs it
+// inline.
+func (r *Replica) submitFlushPoint() *flushPoint {
+	fp := &flushPoint{}
+	r.flushesPending.Add(1)
+	fp.task = r.exec.Submit(nil, func() { fp.pages, fp.persist = r.flusher.Capture() })
+	return fp
+}
+
+// runPersist makes a flush point durable; the caller has waited for the
+// capture and holds the span's replies until this returns. Safe off the
+// protocol loop. A failure concerns this replica's by-product only: the
+// region is untouched, the replies go out, the error is counted.
+func (r *Replica) runPersist(fp *flushPoint) {
+	defer r.flushesPending.Add(-1)
+	if fp.persist == nil {
+		return
+	}
+	t0 := time.Now()
+	if err := fp.persist(); err != nil {
+		r.flushErrors.Add(1)
+		return
+	}
+	r.imageFlushNanos.Add(uint64(time.Since(t0)))
+	r.imageFlushPages.Add(uint64(fp.pages))
+	r.imageFlushes.Add(1)
+}
+
+// flushRewrite runs a flush point outside any span, after the region was
+// rewritten underneath the application (tentative rollback, state-
+// transfer install): the flusher was told its by-product is stale, and
+// the rewrite may be followed by no mutation that would flush it. The
+// caller has reaped everything (reapApplies), so every earlier persist
+// has run.
+func (r *Replica) flushRewrite() {
+	if r.flusher == nil {
+		return
+	}
+	fp := r.submitFlushPoint()
+	r.exec.WaitIdle()
+	r.runPersist(fp)
+}
+
 // integrateSpan performs the loop-side half of reaping a completed span:
 // attach the cached replies to the client windows (they are replicated
 // state), record liveness, count executions. Replies were already sent by
 // sealAndSendReply; a commit certificate that arrived while the span was
 // in flight upgrades the cached copy here (the client's copy is upgraded
 // by the usual retransmission path).
-func (r *Replica) integrateSpan(span []*pendingApply) {
-	for _, pa := range span {
+func (r *Replica) integrateSpan(sp span) {
+	for _, pa := range sp.applies {
 		rep := &pa.rep
 		if pa.tentative && pa.e.committed {
 			rep.Flags &^= wire.FlagTentative
@@ -348,7 +410,9 @@ func (r *Replica) integrateSpan(span []*pendingApply) {
 // path — when nothing is queued behind the reaper and every task already
 // finished (the serial engine's inline execution), reaping here costs no
 // handoff and keeps the seed schedule — and otherwise hands the span to
-// the reaper goroutine so agreement overlaps the remaining execution.
+// the reaper goroutine so agreement overlaps the remaining execution. A
+// span with a flush point always goes to the reaper when there is one:
+// its fsyncs are the remaining execution.
 func (r *Replica) finishSpan() {
 	if r.reaper != nil {
 		r.collectReaped()
@@ -356,13 +420,17 @@ func (r *Replica) finishSpan() {
 	if len(r.applyQueue) == 0 {
 		return
 	}
-	if r.reaper == nil || (r.reaper.idle() && r.spanDone()) {
-		r.reapSpanInPlace()
+	var fp *flushPoint
+	if r.flusher != nil {
+		fp = r.submitFlushPoint()
+	}
+	if r.reaper == nil || (fp == nil && r.reaper.idle() && r.spanDone()) {
+		r.reapSpanInPlace(fp)
 		return
 	}
-	span := r.applyQueue
+	sp := span{applies: r.applyQueue, flush: fp}
 	r.applyQueue = nil
-	r.reaper.submit(span)
+	r.reaper.submit(sp)
 }
 
 // spanDone reports whether every task in the current applyQueue has
@@ -381,14 +449,18 @@ func (r *Replica) spanDone() bool {
 // reapSpanInPlace is the synchronous reap: wait for the engine, then send
 // and integrate the span on the loop — the pre-async behaviour, still
 // used with AsyncReap off and by the inline fast path.
-func (r *Replica) reapSpanInPlace() {
-	// Every task in applyQueue was submitted before this point, so one
-	// WaitIdle covers them all — results are written and visible.
+func (r *Replica) reapSpanInPlace(fp *flushPoint) {
+	// Every task in applyQueue — and the capture behind them — was
+	// submitted before this point, so one WaitIdle covers them all:
+	// results are written and visible.
 	r.exec.WaitIdle()
+	if fp != nil {
+		r.runPersist(fp)
+	}
 	for _, pa := range r.applyQueue {
 		r.sealAndSendReply(pa)
 	}
-	r.integrateSpan(r.applyQueue)
+	r.integrateSpan(span{applies: r.applyQueue})
 	clear(r.applyQueue) // release the reaped span's requests and tasks
 	r.applyQueue = r.applyQueue[:0]
 }
@@ -397,22 +469,25 @@ func (r *Replica) reapSpanInPlace() {
 // without blocking. The protocol loop calls it opportunistically (reaper
 // notify) and before starting a new span.
 func (r *Replica) collectReaped() {
-	for _, span := range r.reaper.collect() {
-		r.integrateSpan(span)
+	for _, sp := range r.reaper.collect() {
+		r.integrateSpan(sp)
 	}
 }
 
 // reapApplies is the full barrier: every scheduled mutation executed,
-// every reply sent, every span integrated. Checkpoints, membership
-// operations, view-change rollback, state transfer and shutdown all pass
-// through here — which is why a snapshot can never observe a half-reaped
-// span, in either reap mode.
+// every flush point persisted, every reply sent, every span integrated.
+// Checkpoints, membership operations, view-change rollback, state
+// transfer and shutdown all pass through here — which is why a snapshot
+// can never observe a half-reaped span, in either reap mode.
 func (r *Replica) reapApplies() {
 	r.finishSpan()
 	if r.reaper != nil {
 		r.reaper.drain(r.integrateSpan)
 	}
 	r.exec.WaitIdle()
+	if n := r.flushesPending.Load(); n != 0 {
+		panic(fmt.Sprintf("core: %d flush points outstanding behind the reap barrier", n))
+	}
 }
 
 // checkLiveness fires the view-change timer: a pending request that sat
@@ -639,6 +714,7 @@ func (r *Replica) rollbackTentative() {
 		}
 	}
 	r.reapApplies()
+	r.flushRewrite()
 	r.committedContig = r.lastExec
 }
 

@@ -6,8 +6,9 @@ import "sync"
 // (Options.AsyncReap): the protocol loop hands it spans of submitted-but-
 // unfinished applies (the applyQueue of one tryExecute pass) and returns
 // to agreement work immediately; the reaper goroutine waits for each
-// span's engine tasks in submission order, seals and sends the replies —
-// still strictly in sequence order, from state snapshotted at submission —
+// span's engine tasks in submission order, makes the span's flush point
+// durable (see flushPoint), seals and sends the replies — still strictly
+// in sequence order, from state snapshotted at submission —
 // and hands the span back for loop-side integration (reply cache, stats,
 // client liveness).
 //
@@ -26,8 +27,8 @@ type reaper struct {
 	// queue holds spans handed off and not yet reply-sent; done holds
 	// spans reply-sent and not yet integrated by the loop; outstanding
 	// counts both (handed off minus integrated).
-	queue       [][]*pendingApply
-	done        [][]*pendingApply
+	queue       []span
+	done        []span
 	outstanding int
 	stopped     bool
 
@@ -61,9 +62,9 @@ func (rp *reaper) stop() {
 }
 
 // submit hands one span to the reaper. Loop-side only.
-func (rp *reaper) submit(span []*pendingApply) {
+func (rp *reaper) submit(sp span) {
 	rp.mu.Lock()
-	rp.queue = append(rp.queue, span)
+	rp.queue = append(rp.queue, sp)
 	rp.outstanding++
 	rp.cond.Broadcast()
 	rp.mu.Unlock()
@@ -80,7 +81,7 @@ func (rp *reaper) idle() bool {
 
 // collect returns the spans that have been reply-sent and now await
 // integration. Loop-side only.
-func (rp *reaper) collect() [][]*pendingApply {
+func (rp *reaper) collect() []span {
 	rp.mu.Lock()
 	spans := rp.done
 	rp.done = nil
@@ -95,15 +96,15 @@ func (rp *reaper) collect() [][]*pendingApply {
 // drain blocks until every handed-off span has been reply-sent and
 // integrated, invoking integrate (loop-side) for each span in order. This
 // is the barrier entry point behind Replica.reapApplies.
-func (rp *reaper) drain(integrate func([]*pendingApply)) {
+func (rp *reaper) drain(integrate func(span)) {
 	rp.mu.Lock()
 	for {
 		for len(rp.done) > 0 {
-			span := rp.done[0]
+			sp := rp.done[0]
 			rp.done = rp.done[1:]
 			rp.outstanding--
 			rp.mu.Unlock()
-			integrate(span)
+			integrate(sp)
 			rp.mu.Lock()
 		}
 		if rp.outstanding == 0 {
@@ -127,11 +128,18 @@ func (rp *reaper) run() {
 			rp.mu.Unlock()
 			return
 		}
-		span := rp.queue[0]
+		sp := rp.queue[0]
 		rp.queue = rp.queue[1:]
 		rp.mu.Unlock()
 
-		for _, pa := range span {
+		if sp.flush != nil {
+			// The capture is a barrier behind the span's mutations;
+			// its persist — the span's fsyncs, overlapping the loop's
+			// agreement on the next span — precedes the first reply.
+			<-sp.flush.task.Done()
+			rp.r.runPersist(sp.flush)
+		}
+		for _, pa := range sp.applies {
 			// The task's done channel is the happens-before edge
 			// publishing the shard worker's result write.
 			<-pa.task.Done()
@@ -139,7 +147,7 @@ func (rp *reaper) run() {
 		}
 
 		rp.mu.Lock()
-		rp.done = append(rp.done, span)
+		rp.done = append(rp.done, sp)
 		rp.cond.Broadcast()
 		rp.mu.Unlock()
 		select {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/crypto"
@@ -57,6 +58,18 @@ type Replica struct {
 	exec    *exec.Engine
 	sharder Sharder
 	reaper  *reaper
+
+	// flusher is the application's state.Flusher (nil when it keeps no
+	// by-product of the region on disk — one nil check per span). The
+	// counters below are written wherever a span is reaped (loop or
+	// reaper goroutine); flushesPending counts captures submitted and
+	// not yet persisted, zero behind every reapApplies.
+	flusher         state.Flusher
+	flushesPending  atomic.Int64
+	flushErrors     atomic.Uint64
+	imageFlushes    atomic.Uint64
+	imageFlushPages atomic.Uint64
+	imageFlushNanos atomic.Uint64
 
 	// batchCtl is the adaptive batch-sizing controller (nil with
 	// Options.AdaptiveBatching off).
@@ -185,6 +198,17 @@ type Stats struct {
 	WALBytes       uint64
 	WALCheckpoints uint64
 	PersistErrors  uint64
+	// Disk-image counters, all zero unless the application registered a
+	// state.Flusher (sqlstate with Options.Durable), which ImageNow
+	// reports. ImageFlushes counts span flush points persisted,
+	// ImageFlushPages the pages they wrote, ImageFlushNanos the time
+	// their persists took (a span's replies wait for it between the
+	// exec_done and reply_sealed phases). A failed image persist counts
+	// into PersistErrors.
+	ImageNow        bool
+	ImageFlushes    uint64
+	ImageFlushPages uint64
+	ImageFlushNanos uint64
 }
 
 // ckptRecord tracks one checkpoint: the local snapshot (if this replica
@@ -269,6 +293,10 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 		}
 		durable.seedLeaves(region)
 	}
+	// The replica drives the region's flush points (see finishSpan): an
+	// application that registers a flusher while attaching is flushed
+	// once per execution span, off the protocol loop.
+	region.DriveFlushes()
 	if su, ok := app.(StateUser); ok {
 		su.AttachState(region)
 	}
@@ -279,6 +307,7 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 		conn:          conn,
 		app:           app,
 		region:        region,
+		flusher:       region.Flusher(),
 		n:             cfg.N(),
 		f:             cfg.Opts.F,
 		quorum:        cfg.Quorum(),
@@ -577,6 +606,13 @@ func (r *Replica) info() Info {
 		st.WALFsyncs = ws.Fsyncs
 		st.WALBytes = ws.Bytes
 		st.WALCheckpoints = ws.Checkpoints
+	}
+	if r.flusher != nil {
+		st.ImageNow = true
+		st.PersistErrors += r.flushErrors.Load()
+		st.ImageFlushes = r.imageFlushes.Load()
+		st.ImageFlushPages = r.imageFlushPages.Load()
+		st.ImageFlushNanos = r.imageFlushNanos.Load()
 	}
 	info := Info{
 		View:           r.view,

@@ -258,6 +258,8 @@ func (r *Replica) maybeFinishSync() {
 	}
 	r.persistStable(ck)
 	r.gcLog()
+	// The installed pages bypassed the application's flusher.
+	r.flushRewrite()
 	// Entries above the checkpoint may already be agreed in the log;
 	// resume execution.
 	r.tryExecute()

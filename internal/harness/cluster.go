@@ -54,6 +54,10 @@ type ClusterOptions struct {
 	// recovers from disk and fetches only the delta via state transfer.
 	// Empty keeps the cluster diskless.
 	DataDir string
+	// LocalOpts, when set, adjusts one replica's copy of Opts before it
+	// is built — for the purely local knobs (AsyncReap, ExecShards) the
+	// determinism suites mix within one cluster.
+	LocalOpts func(replica uint32, o *core.Options)
 }
 
 // Cluster is an in-process PBFT deployment: N replicas and a set of
@@ -73,6 +77,7 @@ type Cluster struct {
 	rng         *rand.Rand
 	clientRecv  int    // client endpoint inbound queue depth (0 = default)
 	dataDir     string // durable root; "" = diskless
+	localOpts   func(replica uint32, o *core.Options)
 }
 
 // ReplicaAddr returns the network address of replica id.
@@ -95,6 +100,7 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 		rng:         rand.New(rand.NewSource(o.Seed + 1)),
 		clientRecv:  o.ClientRecvBuffer,
 		dataDir:     o.DataDir,
+		localOpts:   o.LocalOpts,
 	}
 	if o.Bandwidth > 0 {
 		c.Net.SetBandwidth(o.Bandwidth)
@@ -171,10 +177,10 @@ func (c *Cluster) startWrapped(id uint32, wrap func(transport.Conn) transport.Co
 	}
 	app := c.appFactory(id)
 	cfg := c.Cfg
-	if c.tracerFor != nil || c.recorderFor != nil || c.dataDir != "" {
-		// Per-replica tracer/recorder/data dir: shallow-copy the shared
-		// config (the slices inside are read-only) and install this
-		// replica's instances.
+	if c.tracerFor != nil || c.recorderFor != nil || c.dataDir != "" || c.localOpts != nil {
+		// Per-replica tracer/recorder/data dir/local options:
+		// shallow-copy the shared config (the slices inside are
+		// read-only) and install this replica's instances.
 		clone := *c.Cfg
 		if c.tracerFor != nil {
 			clone.Opts.Tracer = c.tracerFor(id)
@@ -184,6 +190,9 @@ func (c *Cluster) startWrapped(id uint32, wrap func(transport.Conn) transport.Co
 		}
 		if c.dataDir != "" {
 			clone.Opts.DataDir = c.ReplicaDataDir(id)
+		}
+		if c.localOpts != nil {
+			c.localOpts(id, &clone.Opts)
 		}
 		cfg = &clone
 	}

@@ -15,11 +15,12 @@ import (
 func TestSQLSurvivesViewChange(t *testing.T) {
 	o := fastOpts()
 	o.ViewChangeTimeout = 400 * time.Millisecond
+	sqlDir := t.TempDir()
 	c, err := NewCluster(ClusterOptions{
 		Opts:       o,
 		NumClients: 2,
 		Seed:       70,
-		App:        NewSQLFactory(true, t.TempDir()),
+		App:        NewSQLFactory(true, sqlDir),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +72,24 @@ func TestSQLSurvivesViewChange(t *testing.T) {
 	for _, id := range []uint32{1, 2, 3} {
 		if info := c.Replicas[id].Info(); info.View == 0 {
 			t.Fatalf("replica %d still in view 0", id)
+		}
+	}
+	// The view change rolled tentative executions back underneath the
+	// database file (Region.Restore); every survivor's disk image must
+	// have followed and hold exactly the rows the service answers.
+	want := replicatedRows(t, cl)
+	var last uint64
+	for _, id := range []uint32{1, 2, 3} {
+		last = max(last, c.Replicas[id].Info().LastExec)
+	}
+	if !c.WaitConverged(last, 5*time.Second) {
+		t.Fatal("survivors did not converge")
+	}
+	cl.Close()
+	c.Stop()
+	for _, id := range []uint32{1, 2, 3} {
+		if got := imageRows(t, sqlDir, id); got != want {
+			t.Fatalf("replica %d image rows\n%s\nservice rows\n%s", id, got, want)
 		}
 	}
 }

@@ -191,10 +191,8 @@ func (p *Pager) recover() error {
 	if !exists {
 		return nil
 	}
-	// A journal without a database (fresh region after a replica
-	// restart, with a stale journal on disk) is meaningless: the state
-	// it would restore no longer exists. Discard it; state transfer
-	// rebuilds the database.
+	// A journal without a database is meaningless: the state it would
+	// restore no longer exists. Discard it.
 	if size, err := p.db.Size(); err != nil {
 		return err
 	} else if size == 0 {
@@ -205,49 +203,88 @@ func (p *Pager) recover() error {
 		return err
 	}
 	defer jf.Close()
-	size, err := jf.Size()
+	origCount, hot, err := RollbackJournal(jf, p.db)
 	if err != nil {
 		return err
 	}
+	if hot {
+		p.pageCount = origCount
+	}
+	return p.vfs.Delete(p.journalName())
+}
+
+// journalRecSize is one journal record: page number, before-image,
+// checksum.
+const journalRecSize = 4 + PageSize + 4
+
+// WriteJournal writes a rollback journal into jf and syncs it: the page
+// count to truncate back to, then one checksummed before-image per page
+// (keyed by 1-based page number). Whatever jf held before is replaced.
+// The pager journals a transaction with it; the replicated SQL layer
+// journals a span's worth of its disk image's pages (sqlstate).
+func WriteJournal(jf File, origCount uint32, before map[uint32][]byte) error {
+	buf := make([]byte, 0, 12+len(before)*journalRecSize)
+	buf = append(buf, journalMagic[:]...)
+	buf = appendU32(buf, origCount)
+	for pgno, img := range before {
+		buf = appendU32(buf, pgno)
+		buf = append(buf, img...)
+		buf = appendU32(buf, journalChecksum(pgno, img))
+	}
+	if err := jf.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := jf.WriteAt(buf, 0); err != nil {
+		return err
+	}
+	return jf.Sync()
+}
+
+// RollbackJournal replays the journal jf onto db: restore the
+// before-images, truncate to the original page count, sync. hot is false
+// — and db untouched — when jf is no valid journal: shorter than its
+// header or without the magic, which (the journal is synced before db is
+// written) means db was never modified under it. A record failing its
+// checksum is a torn tail and ends the replay. The caller disposes of
+// the journal afterwards.
+func RollbackJournal(jf, db File) (origCount uint32, hot bool, err error) {
+	size, err := jf.Size()
+	if err != nil {
+		return 0, false, err
+	}
 	if size < 12 {
-		// Truncated before the header completed: the database was
-		// never touched.
-		return p.vfs.Delete(p.journalName())
+		return 0, false, nil
 	}
 	hdr := make([]byte, 12)
 	if _, err := jf.ReadAt(hdr, 0); err != nil {
-		return err
+		return 0, false, err
 	}
 	if [8]byte(hdr[:8]) != journalMagic {
-		// Garbage journal: the database was never touched (we sync the
-		// journal before writing the database).
-		return p.vfs.Delete(p.journalName())
+		return 0, false, nil
 	}
-	origCount := getU32(hdr[8:])
-	const recSize = 4 + PageSize + 4
-	n := (size - 12) / recSize
-	rec := make([]byte, recSize)
+	origCount = getU32(hdr[8:])
+	n := (size - 12) / journalRecSize
+	rec := make([]byte, journalRecSize)
 	for i := int64(0); i < n; i++ {
-		if _, err := jf.ReadAt(rec, 12+i*recSize); err != nil {
-			return err
+		if _, err := jf.ReadAt(rec, 12+i*journalRecSize); err != nil {
+			return 0, false, err
 		}
 		pgno := getU32(rec)
 		data := rec[4 : 4+PageSize]
 		if getU32(rec[4+PageSize:]) != journalChecksum(pgno, data) {
 			break // torn tail: stop replaying
 		}
-		if _, err := p.db.WriteAt(data, int64(pgno-1)*PageSize); err != nil {
-			return err
+		if _, err := db.WriteAt(data, int64(pgno-1)*PageSize); err != nil {
+			return 0, false, err
 		}
 	}
-	if err := p.db.Truncate(int64(origCount) * PageSize); err != nil {
-		return err
+	if err := db.Truncate(int64(origCount) * PageSize); err != nil {
+		return 0, false, err
 	}
-	if err := p.db.Sync(); err != nil {
-		return err
+	if err := db.Sync(); err != nil {
+		return 0, false, err
 	}
-	p.pageCount = origCount
-	return p.vfs.Delete(p.journalName())
+	return origCount, true, nil
 }
 
 func journalChecksum(pgno uint32, data []byte) uint32 {
@@ -426,21 +463,7 @@ func (p *Pager) writeJournal() error {
 		return err
 	}
 	defer jf.Close()
-	buf := make([]byte, 0, 12+len(p.before)*(8+PageSize))
-	buf = append(buf, journalMagic[:]...)
-	buf = appendU32(buf, p.origCount)
-	for pgno, img := range p.before {
-		buf = appendU32(buf, pgno)
-		buf = append(buf, img...)
-		buf = appendU32(buf, journalChecksum(pgno, img))
-	}
-	if err := jf.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := jf.WriteAt(buf, 0); err != nil {
-		return err
-	}
-	if err := jf.Sync(); err != nil {
+	if err := WriteJournal(jf, p.origCount, p.before); err != nil {
 		return err
 	}
 	p.Syncs++

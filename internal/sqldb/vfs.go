@@ -80,6 +80,20 @@ func (v *DiskVFS) Exists(name string) (bool, error) {
 	return false, err
 }
 
+// Rename atomically replaces newName with oldName and syncs the
+// directory, so the replacement survives a crash.
+func (v *DiskVFS) Rename(oldName, newName string) error {
+	if err := os.Rename(filepath.Join(v.Root, oldName), filepath.Join(v.Root, newName)); err != nil {
+		return err
+	}
+	dir, err := os.Open(v.Root)
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
+}
+
 // Now implements VFS.
 func (v *DiskVFS) Now() time.Time { return time.Now() }
 
@@ -111,7 +125,7 @@ func (d *diskFile) Size() (int64, error) {
 }
 
 // MemVFS is an in-memory VFS for tests: deterministic time and randomness
-// can be injected.
+// can be injected, and a crash simulated (FailSyncAfter, Crash).
 type MemVFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -160,6 +174,30 @@ func (v *MemVFS) Exists(name string) (bool, error) {
 	return ok, nil
 }
 
+// Rename replaces newName with oldName, like DiskVFS.Rename; the
+// replacement counts as synced.
+func (v *MemVFS) Rename(oldName, newName string) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	f, ok := v.files[oldName]
+	if !ok {
+		return fmt.Errorf("sqldb: rename %q: no such file", oldName)
+	}
+	delete(v.files, oldName)
+	v.files[newName] = f
+	return nil
+}
+
+// Crash simulates a power cut: every file falls back to its content at
+// its last successful Sync; bytes written since are gone.
+func (v *MemVFS) Crash() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, f := range v.files {
+		f.data = append([]byte(nil), f.synced...)
+	}
+}
+
 // Now implements VFS.
 func (v *MemVFS) Now() time.Time {
 	if v.NowFunc != nil {
@@ -178,8 +216,9 @@ func (v *MemVFS) Rand(p []byte) error {
 }
 
 type memFile struct {
-	vfs  *MemVFS
-	data []byte
+	vfs    *MemVFS
+	data   []byte
+	synced []byte // content at the last successful Sync (see Crash)
 }
 
 func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
@@ -227,6 +266,7 @@ func (m *memFile) Sync() error {
 	if m.vfs.FailSyncAfter >= 0 && m.vfs.syncs > m.vfs.FailSyncAfter {
 		return fmt.Errorf("sqldb: injected sync failure")
 	}
+	m.synced = append(m.synced[:0], m.data...)
 	return nil
 }
 

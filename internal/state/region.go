@@ -42,6 +42,11 @@ type Region struct {
 	zeroLeaf  crypto.Digest // digest of an all-zero page
 	anyDirty  bool
 	snaps     map[uint64]*Snapshot
+
+	// Flush contract (flush.go); both set before the region is shared
+	// between goroutines.
+	flusher     Flusher
+	flushDriven bool
 }
 
 // NewRegion creates a sparse region of size bytes with the given page size
@@ -182,9 +187,12 @@ func (r *Region) ApplyPage(index int, data []byte) error {
 		return fmt.Errorf("state: page data of %d bytes, want %d", len(data), r.pageSize)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.touchPageLocked(index)
 	copy(r.pages[index], data)
+	r.mu.Unlock()
+	if r.flusher != nil {
+		r.flusher.Invalidate()
+	}
 	return nil
 }
 

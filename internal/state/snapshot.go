@@ -83,18 +83,23 @@ func (r *Region) ReleaseAbove(seq uint64) {
 // are touched.
 func (r *Region) Restore(s *Snapshot) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.refreshLeavesLocked()
+	rewritten := false
 	for i := range r.pages {
 		if r.leaf[i] == s.levels[0][i] {
 			continue
 		}
+		rewritten = true
 		r.touchPageLocked(i)
 		if src := s.pages[i]; src != nil {
 			copy(r.pages[i], src)
 		} else {
 			clear(r.pages[i])
 		}
+	}
+	r.mu.Unlock()
+	if rewritten && r.flusher != nil {
+		r.flusher.Invalidate()
 	}
 }
 

@@ -848,40 +848,62 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	}
 
 	// Durable-replica series render only for replicas running with a
-	// data directory, so a diskless deployment's exposition stays
-	// byte-identical to one scraped before durability existed.
-	durable := rows[:0:0]
+	// data directory, and disk-image series only for replicas whose
+	// application keeps one, so a deployment without either scrapes
+	// byte-identical to one from before they existed.
+	durable, image, persisting := rows[:0:0], rows[:0:0], rows[:0:0]
 	for _, r := range rows {
 		if r.info.Stats.DurableNow {
 			durable = append(durable, r)
 		}
+		if r.info.Stats.ImageNow {
+			image = append(image, r)
+		}
+		if r.info.Stats.DurableNow || r.info.Stats.ImageNow {
+			persisting = append(persisting, r)
+		}
 	}
-	if len(durable) == 0 {
-		return
+	if len(durable) > 0 {
+		fmt.Fprintf(w, "# HELP pbft_restarts_total Recoveries from an existing on-disk manifest (0 on first boot).\n# TYPE pbft_restarts_total counter\n")
+		for _, r := range durable {
+			fmt.Fprintf(w, "pbft_restarts_total{%s} %d\n", r.labels, r.info.Stats.Restarts)
+		}
+		fmt.Fprintf(w, "# HELP pbft_recovery_seconds Duration of the last disk recovery (WAL replay + manifest restore) at startup.\n# TYPE pbft_recovery_seconds gauge\n")
+		for _, r := range durable {
+			fmt.Fprintf(w, "pbft_recovery_seconds{%s} %g\n", r.labels, float64(r.info.Stats.RecoveryNanos)/1e9)
+		}
+		fmt.Fprintf(w, "# HELP pbft_wal_fsyncs_total WAL commit fsyncs (one per persisted stable checkpoint batch).\n# TYPE pbft_wal_fsyncs_total counter\n")
+		for _, r := range durable {
+			fmt.Fprintf(w, "pbft_wal_fsyncs_total{%s} %d\n", r.labels, r.info.Stats.WALFsyncs)
+		}
+		fmt.Fprintf(w, "# HELP pbft_wal_bytes_total Bytes appended to the write-ahead log.\n# TYPE pbft_wal_bytes_total counter\n")
+		for _, r := range durable {
+			fmt.Fprintf(w, "pbft_wal_bytes_total{%s} %d\n", r.labels, r.info.Stats.WALBytes)
+		}
+		fmt.Fprintf(w, "# HELP pbft_wal_checkpoints_total WAL fold-backs into the base pages file.\n# TYPE pbft_wal_checkpoints_total counter\n")
+		for _, r := range durable {
+			fmt.Fprintf(w, "pbft_wal_checkpoints_total{%s} %d\n", r.labels, r.info.Stats.WALCheckpoints)
+		}
 	}
-	fmt.Fprintf(w, "# HELP pbft_restarts_total Recoveries from an existing on-disk manifest (0 on first boot).\n# TYPE pbft_restarts_total counter\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_restarts_total{%s} %d\n", r.labels, r.info.Stats.Restarts)
+	if len(persisting) > 0 {
+		fmt.Fprintf(w, "# HELP pbft_persist_errors_total Failed stable-checkpoint or disk-image persists (the store latches broken; the replica continues in-memory).\n# TYPE pbft_persist_errors_total counter\n")
+		for _, r := range persisting {
+			fmt.Fprintf(w, "pbft_persist_errors_total{%s} %d\n", r.labels, r.info.Stats.PersistErrors)
+		}
 	}
-	fmt.Fprintf(w, "# HELP pbft_recovery_seconds Duration of the last disk recovery (WAL replay + manifest restore) at startup.\n# TYPE pbft_recovery_seconds gauge\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_recovery_seconds{%s} %g\n", r.labels, float64(r.info.Stats.RecoveryNanos)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP pbft_wal_fsyncs_total WAL commit fsyncs (one per persisted stable checkpoint batch).\n# TYPE pbft_wal_fsyncs_total counter\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_wal_fsyncs_total{%s} %d\n", r.labels, r.info.Stats.WALFsyncs)
-	}
-	fmt.Fprintf(w, "# HELP pbft_wal_bytes_total Bytes appended to the write-ahead log.\n# TYPE pbft_wal_bytes_total counter\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_wal_bytes_total{%s} %d\n", r.labels, r.info.Stats.WALBytes)
-	}
-	fmt.Fprintf(w, "# HELP pbft_wal_checkpoints_total WAL fold-backs into the base pages file.\n# TYPE pbft_wal_checkpoints_total counter\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_wal_checkpoints_total{%s} %d\n", r.labels, r.info.Stats.WALCheckpoints)
-	}
-	fmt.Fprintf(w, "# HELP pbft_persist_errors_total Failed stable-checkpoint persists (the store latches broken; the replica continues in-memory).\n# TYPE pbft_persist_errors_total counter\n")
-	for _, r := range durable {
-		fmt.Fprintf(w, "pbft_persist_errors_total{%s} %d\n", r.labels, r.info.Stats.PersistErrors)
+	if len(image) > 0 {
+		fmt.Fprintf(w, "# HELP pbft_image_flushes_total Execution-span flush points persisted to the application's disk image (one journal + image fsync pair each).\n# TYPE pbft_image_flushes_total counter\n")
+		for _, r := range image {
+			fmt.Fprintf(w, "pbft_image_flushes_total{%s} %d\n", r.labels, r.info.Stats.ImageFlushes)
+		}
+		fmt.Fprintf(w, "# HELP pbft_image_flush_pages_total Pages written to the disk image by span flushes.\n# TYPE pbft_image_flush_pages_total counter\n")
+		for _, r := range image {
+			fmt.Fprintf(w, "pbft_image_flush_pages_total{%s} %d\n", r.labels, r.info.Stats.ImageFlushPages)
+		}
+		fmt.Fprintf(w, "# HELP pbft_image_flush_seconds Cumulative time span flushes took; a span's replies wait for its flush between the exec_done and reply_sealed phases.\n# TYPE pbft_image_flush_seconds counter\n")
+		for _, r := range image {
+			fmt.Fprintf(w, "pbft_image_flush_seconds{%s} %g\n", r.labels, float64(r.info.Stats.ImageFlushNanos)/1e9)
+		}
 	}
 }
 

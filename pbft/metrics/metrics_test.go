@@ -128,6 +128,9 @@ func TestDurableExposition(t *testing.T) {
 		"pbft_wal_bytes_total",
 		"pbft_wal_checkpoints_total",
 		"pbft_persist_errors_total",
+		"pbft_image_flushes_total",
+		"pbft_image_flush_pages_total",
+		"pbft_image_flush_seconds",
 	}
 	disklessInfo := func() pbft.ReplicaInfo {
 		info := pbft.ReplicaInfo{View: 1, LastExec: 9}
@@ -161,9 +164,25 @@ func TestDurableExposition(t *testing.T) {
 		info.Stats.PersistErrors = 0
 		return info
 	})
+	// A replica whose application keeps a disk image but has no data
+	// directory: the image series and the shared persist-error counter,
+	// none of the WAL ones.
+	mixed.AddReplica(2, func() pbft.ReplicaInfo {
+		var info pbft.ReplicaInfo
+		info.Stats.ImageNow = true
+		info.Stats.ImageFlushes = 5
+		info.Stats.ImageFlushPages = 17
+		info.Stats.ImageFlushNanos = 2_500_000
+		info.Stats.PersistErrors = 1
+		return info
+	})
 	var b strings.Builder
 	mixed.WritePrometheus(&b)
 	for _, want := range []string{
+		"pbft_image_flushes_total{replica=\"2\"} 5",
+		"pbft_image_flush_pages_total{replica=\"2\"} 17",
+		"pbft_image_flush_seconds{replica=\"2\"} 0.0025",
+		"pbft_persist_errors_total{replica=\"2\"} 1",
 		"pbft_restarts_total{replica=\"1\"} 2",
 		"pbft_recovery_seconds{replica=\"1\"} 1.5",
 		"pbft_wal_fsyncs_total{replica=\"1\"} 7",
@@ -175,8 +194,15 @@ func TestDurableExposition(t *testing.T) {
 			t.Fatalf("mixed exposition missing %q:\n%s", want, b.String())
 		}
 	}
-	if strings.Contains(b.String(), "pbft_restarts_total{replica=\"0\"}") {
-		t.Fatalf("durable series leaked onto a diskless replica:\n%s", b.String())
+	for _, leak := range []string{
+		"pbft_restarts_total{replica=\"0\"}",
+		"pbft_persist_errors_total{replica=\"0\"}",
+		"pbft_wal_fsyncs_total{replica=\"2\"}",
+		"pbft_image_flushes_total{replica=\"1\"}",
+	} {
+		if strings.Contains(b.String(), leak) {
+			t.Fatalf("series %q leaked onto a replica without that store:\n%s", leak, b.String())
+		}
 	}
 }
 

@@ -16,11 +16,15 @@ import (
 type Options struct {
 	// DBName names the database file inside the region.
 	DBName string
-	// DiskDir hosts the rollback journal and the database's disk
-	// image. Required when Durable.
+	// DiskDir hosts the database's disk image and its rollback
+	// journal. Required when Durable, unused otherwise.
 	DiskDir string
-	// Durable selects full ACID (rollback journal + fsync on commit);
-	// false reproduces the paper's no-ACID comparison mode (§4.2).
+	// Durable selects full ACID: the database's disk image is brought
+	// up to date — rollback journal fsynced, then image fsynced — before
+	// any reply for an operation leaves this replica. A replica does it
+	// once per execution span; a standalone App (a region nobody drives)
+	// once per mutating statement. False reproduces the paper's no-ACID
+	// comparison mode (§4.2): no image, no journal, no fsync.
 	Durable bool
 	// Authorize, if set, authorizes dynamic-client joins (§3.1): it
 	// receives the identification buffer and returns the principal.
@@ -39,6 +43,10 @@ type App struct {
 	vfs  *VFS
 	db   *sqldb.DB
 	err  error // initialization failure, reported on every Execute
+	// selfFlush is set when the App keeps a disk image and nobody
+	// drives the region's flush points: Execute then flushes after
+	// every mutating statement.
+	selfFlush bool
 
 	// Sharding classification cache (see sharder.go), shared between
 	// the protocol loop (Keys) and the shard workers (Execute).
@@ -65,38 +73,55 @@ func NewApp(opts Options) *App {
 	return &App{opts: opts}
 }
 
-// AttachState implements core.StateUser: mount the VFS and open (or
+// AttachState implements core.StateUser: mount the VFS, register it as
+// the region's flusher when it keeps a disk image, and open (or
 // initialize) the database inside the region.
 func (a *App) AttachState(region *state.Region) {
-	if a.opts.Durable && a.opts.DiskDir == "" {
-		a.err = errors.New("sqlstate: Durable requires DiskDir")
-		return
+	diskDir := ""
+	if a.opts.Durable {
+		if diskDir = a.opts.DiskDir; diskDir == "" {
+			a.err = errors.New("sqlstate: Durable requires DiskDir")
+			return
+		}
 	}
-	vfs, err := NewVFS(region, a.opts.DBName, a.opts.DiskDir)
+	vfs, err := NewVFS(region, a.opts.DBName, diskDir)
 	if err != nil {
 		a.err = err
 		return
 	}
+	a.attach(region, vfs)
+}
+
+func (a *App) attach(region *state.Region, vfs *VFS) {
 	a.vfs = vfs
-	fresh, err := vfs.Exists(a.opts.DBName)
+	if vfs.disk != nil {
+		region.SetFlusher(vfs)
+		a.selfFlush = !region.FlushesDriven()
+	}
+	exists, err := vfs.Exists(a.opts.DBName)
 	if err != nil {
 		a.err = err
 		return
 	}
-	db, err := sqldb.Open(vfs, a.opts.DBName, a.opts.Durable)
+	// The pager never journals here: the file is memory, and the disk
+	// image has its own journal below the VFS.
+	db, err := sqldb.Open(vfs, a.opts.DBName, false)
 	if err != nil {
 		a.err = err
 		return
 	}
 	a.db = db
-	if !fresh {
-		for _, sql := range a.opts.InitSQL {
-			if _, err := db.Exec(sql); err != nil {
-				a.err = fmt.Errorf("init sql %q: %w", sql, err)
-				return
-			}
+	if exists {
+		return
+	}
+	for _, sql := range a.opts.InitSQL {
+		if _, err := db.Exec(sql); err != nil {
+			a.err = fmt.Errorf("init sql %q: %w", sql, err)
+			return
 		}
 	}
+	// One flush for the whole initialization, whoever drives later ones.
+	a.err = vfs.Flush()
 }
 
 // DB exposes the underlying database (the paper's "standard SQLite
@@ -165,6 +190,9 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 			return encodeError(errors.New("sqlstate: mutating statement on the read-only path"))
 		}
 		res, err := a.db.Exec(sql, args...)
+		if err == nil && a.selfFlush {
+			err = a.vfs.Flush()
+		}
 		if err != nil {
 			return encodeError(err)
 		}

@@ -3,6 +3,8 @@ package sqlstate
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -139,37 +141,76 @@ func TestVFSNonDeterminismRouting(t *testing.T) {
 	}
 }
 
+// TestVFSJournalOnDisk pins where the rollback journal lives now that it
+// is the image's and not the pager's: a file in the disk directory, kept
+// open, non-empty only while a persist is between its two fsyncs — and
+// invisible through the sqldb.VFS surface, so no pager can ever find and
+// replay it into the region.
 func TestVFSJournalOnDisk(t *testing.T) {
 	region := testRegion(t)
-	vfs, err := NewVFS(region, "db", t.TempDir())
+	dir := t.TempDir()
+	vfs, err := NewVFS(region, "db", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vfs.Close()
-	jf, err := vfs.Open("db-journal")
+	journal := filepath.Join(dir, "db-journal")
+	journalSize := func() int64 {
+		t.Helper()
+		st, err := os.Stat(journal)
+		if err != nil {
+			t.Fatalf("the journal must exist on disk for the life of the VFS: %v", err)
+		}
+		return st.Size()
+	}
+	if journalSize() != 0 {
+		t.Fatal("a fresh journal must be empty")
+	}
+	f, err := vfs.Open("db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.WriteAt([]byte("journal"), 0); err != nil {
+	page := bytes.Repeat([]byte{1}, sqldb.PageSize)
+	if _, err := f.WriteAt(page, 0); err != nil {
 		t.Fatal(err)
 	}
-	jf.Close()
-	ok, err := vfs.Exists("db-journal")
-	if err != nil || !ok {
-		t.Fatalf("journal must exist on disk: %v %v", ok, err)
-	}
-	if err := vfs.Delete("db-journal"); err != nil {
+	if err := vfs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ok, _ = vfs.Exists("db-journal")
-	if ok {
-		t.Fatal("journal must be deletable")
+	// Second interval: page 1 now has a before-image to journal. Hold
+	// the persist between capture and run to see the journal untouched
+	// until then.
+	page[0] = 2
+	if _, err := f.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	pages, persist := vfs.Capture()
+	if pages != 1 || persist == nil {
+		t.Fatalf("capture = %d pages, persist nil=%v; want 1 page", pages, persist == nil)
+	}
+	if journalSize() != 0 {
+		t.Fatal("Capture must do no file I/O")
+	}
+	if err := persist(); err != nil {
+		t.Fatal(err)
+	}
+	if journalSize() != 0 {
+		t.Fatal("a completed persist must leave the journal invalidated")
+	}
+	if ok, _ := vfs.Exists("db-journal"); ok {
+		t.Fatal("the journal must not be visible through the VFS")
+	}
+	if _, err := vfs.Open("db-journal"); err == nil {
+		t.Fatal("the journal must not open through the VFS")
 	}
 	if err := vfs.Delete("db"); err == nil {
 		t.Fatal("the region database must not be deletable")
 	}
 }
 
+// TestVFSDiskImageSync: the disk image mirrors the region at every flush
+// point (§3.2: the database file is synchronized with its disk image),
+// and at no other time.
 func TestVFSDiskImageSync(t *testing.T) {
 	region := testRegion(t)
 	dir := t.TempDir()
@@ -189,14 +230,41 @@ func TestVFSDiskImageSync(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// The disk image mirrors the synced page (§3.2: the database file
-	// is synchronized with its disk image on commit).
-	img := make([]byte, 4096)
-	if _, err := vfs.mirror.ReadAt(img, 0); err != nil {
+	readImage := func() []byte {
+		t.Helper()
+		img, err := os.ReadFile(filepath.Join(dir, "db.image"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	if len(readImage()) != 0 {
+		t.Fatal("File.Sync must not touch the image: flush points do")
+	}
+	if err := vfs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, payload) {
-		t.Fatal("disk image must match the region after Sync")
+	if !bytes.Equal(readImage(), payload) {
+		t.Fatal("disk image must match the region after a flush")
+	}
+	// Several writes to one page in one interval reach the image once,
+	// with the last content.
+	for i := byte(1); i <= 3; i++ {
+		payload[7] = i
+		if _, err := f.WriteAt(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pages, persist := vfs.Capture(); pages != 1 {
+		t.Fatalf("captured %d pages, want 1", pages)
+	} else if err := persist(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readImage(), payload) {
+		t.Fatal("disk image must hold the last write of the interval")
+	}
+	if pages, persist := vfs.Capture(); pages != 0 || persist != nil {
+		t.Fatal("an interval without writes has nothing to persist")
 	}
 }
 

@@ -5,10 +5,16 @@
 // The database file lives in the replicated memory region — every page
 // write performs the region's modify notification, so PBFT's
 // copy-on-write checkpoints and Merkle-tree synchronization see the
-// database like any other state. The rollback journal lives on the real
-// disk, and commits synchronize the database's disk image, exactly the
-// design of §3.2: a committed transaction is durable, and a node's
-// database file is usable on its own if the node leaves the service.
+// database like any other state. In Durable mode the database also has a
+// disk image, brought up to date under a rollback journal on the real
+// disk, the design of §3.2: a node's database file is usable on its own
+// if the node leaves the service, and no reply for an operation leaves a
+// replica before that operation's pages are fsynced on its image. The
+// image is flushed through the region's flush contract (state.Flusher):
+// once per execution span when a replica drives the region, once per
+// mutating statement when nobody does (a standalone App). A local disk
+// error abandons the image, never the operation: replication carries the
+// state, the image is a by-product.
 // Time and randomness are routed through the agreed non-determinism
 // values, so every replica computes identical rows (§2.5, §4.2).
 package sqlstate
@@ -18,8 +24,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -31,45 +37,107 @@ import (
 // reserved for VFS bookkeeping (the database file's logical size).
 const regionTailReserve = 8
 
-// VFS implements sqldb.VFS over a replicated state region. The database
-// file maps onto the region; every other file (the rollback journal) goes
-// to a disk directory.
+// diskFS is what the image flush needs of the local disk: files, plus an
+// atomic replace for the stale-image rebuild. *sqldb.DiskVFS in
+// production, *sqldb.MemVFS under crash and fault injection.
+type diskFS interface {
+	Open(name string) (sqldb.File, error)
+	Rename(oldName, newName string) error
+}
+
+// VFS implements sqldb.VFS over a replicated state region: the database
+// file maps onto the region and is the only file there is. With a disk
+// directory it also keeps the database's disk image (§3.2) and is the
+// region's state.Flusher: regionFile.WriteAt tracks what each flush
+// interval dirtied, Capture copies it out, and the persist it returns
+// brings the image to the captured state under a synced rollback journal.
 type VFS struct {
-	mu      sync.Mutex
-	region  *state.Region
-	dbName  string
-	diskDir string
-	mirror  *os.File // disk image of the database, synced on commit
-	dirty   map[int64]bool
+	mu     sync.Mutex
+	region *state.Region
+	dbName string
 
 	nd      core.NonDetValues
 	randCtr uint64
+
+	disk diskFS // nil: no disk image
+
+	// Flush-interval tracking, guarded by mu (1-based page numbers):
+	// the pages written since the last Capture and, for those the image
+	// held at that Capture, their content then.
+	dirty     map[uint32]struct{}
+	before    map[uint32][]byte
+	origPages uint32
+	// brokenErr latches the first persist failure: the image stops
+	// following the region (the policy of core's durable store).
+	brokenErr error
+	// stale is set when the image's relation to the region is unknown
+	// (Invalidate, a pre-existing image): the next Capture rebuilds the
+	// image wholesale.
+	stale atomic.Bool
+
+	// pmu serializes persists and guards the files they write.
+	pmu     sync.Mutex
+	image   sqldb.File
+	journal sqldb.File // kept open; empty between persists
 }
 
-var _ sqldb.VFS = (*VFS)(nil)
+var (
+	_ sqldb.VFS     = (*VFS)(nil)
+	_ state.Flusher = (*VFS)(nil)
+)
 
 // NewVFS mounts a VFS for the named database file over the region.
-// diskDir hosts the rollback journal and the database's disk image;
-// empty disables the disk image (the journal still needs a directory, so
-// diskDir may only be empty when the pager runs in non-durable mode).
+// diskDir hosts the database's disk image and its rollback journal;
+// empty means no image. A valid hot journal found there (a crash during
+// a persist) is rolled back onto the image, never onto the region.
 func NewVFS(region *state.Region, dbName, diskDir string) (*VFS, error) {
-	v := &VFS{
-		region:  region,
-		dbName:  dbName,
-		diskDir: diskDir,
-		dirty:   make(map[int64]bool),
+	if diskDir == "" {
+		return newVFS(region, dbName, nil)
 	}
-	if diskDir != "" {
-		if err := os.MkdirAll(diskDir, 0o755); err != nil {
-			return nil, err
-		}
-		mirror, err := os.OpenFile(filepath.Join(diskDir, dbName+".image"), os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		v.mirror = mirror
+	if err := os.MkdirAll(diskDir, 0o755); err != nil {
+		return nil, err
 	}
+	return newVFS(region, dbName, &sqldb.DiskVFS{Root: diskDir})
+}
+
+func newVFS(region *state.Region, dbName string, disk diskFS) (*VFS, error) {
+	v := &VFS{region: region, dbName: dbName}
+	if disk == nil {
+		return v, nil
+	}
+	v.disk = disk
+	v.resetTracking(0)
+	var err error
+	if v.image, err = disk.Open(v.imageName()); err != nil {
+		return nil, err
+	}
+	if v.journal, err = disk.Open(dbName + "-journal"); err != nil {
+		_ = v.image.Close()
+		return nil, err
+	}
+	size, err := v.recoverImage()
+	if err != nil {
+		_ = v.Close()
+		return nil, fmt.Errorf("sqlstate: recover %s: %w", v.imageName(), err)
+	}
+	// An image from an earlier incarnation was flushed from another
+	// region's history; nothing relates it to this one page by page.
+	v.stale.Store(size > 0)
 	return v, nil
+}
+
+func (v *VFS) imageName() string { return v.dbName + ".image" }
+
+// recoverImage rolls a hot journal back onto the image, empties the
+// journal and returns the image's size.
+func (v *VFS) recoverImage() (int64, error) {
+	if _, _, err := sqldb.RollbackJournal(v.journal, v.image); err != nil {
+		return 0, err
+	}
+	if err := v.journal.Truncate(0); err != nil {
+		return 0, err
+	}
+	return v.image.Size()
 }
 
 // SetNonDet installs the agreed non-deterministic values for the
@@ -108,19 +176,14 @@ func (v *VFS) Rand(p []byte) error {
 	return nil
 }
 
-// Open implements sqldb.VFS.
+// Open implements sqldb.VFS. The region database is the only file: the
+// pager above runs non-journaled (crash atomicity of memory is
+// meaningless), and the image's journal is the VFS's own business.
 func (v *VFS) Open(name string) (sqldb.File, error) {
-	if name == v.dbName {
-		return &regionFile{vfs: v}, nil
+	if name != v.dbName {
+		return nil, fmt.Errorf("sqlstate: no file %q (only the region database)", name)
 	}
-	if v.diskDir == "" {
-		return nil, fmt.Errorf("sqlstate: no disk directory for file %q", name)
-	}
-	f, err := os.OpenFile(filepath.Join(v.diskDir, name), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &diskFile{f: f}, nil
+	return &regionFile{vfs: v}, nil
 }
 
 // Delete implements sqldb.VFS.
@@ -128,32 +191,12 @@ func (v *VFS) Delete(name string) error {
 	if name == v.dbName {
 		return fmt.Errorf("sqlstate: cannot delete the region database")
 	}
-	if v.diskDir == "" {
-		return nil
-	}
-	err := os.Remove(filepath.Join(v.diskDir, name))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
+	return nil
 }
 
 // Exists implements sqldb.VFS.
 func (v *VFS) Exists(name string) (bool, error) {
-	if name == v.dbName {
-		return v.logicalSize() > 0, nil
-	}
-	if v.diskDir == "" {
-		return false, nil
-	}
-	_, err := os.Stat(filepath.Join(v.diskDir, name))
-	if err == nil {
-		return true, nil
-	}
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	return false, err
+	return name == v.dbName && v.logicalSize() > 0, nil
 }
 
 // logicalSize reads the database file's logical size from the region
@@ -173,13 +216,192 @@ func (v *VFS) setLogicalSize(size int64) error {
 	return err
 }
 
-// Close releases the disk image handle.
+// Close releases the disk image and journal handles.
 func (v *VFS) Close() error {
-	if v.mirror != nil {
-		return v.mirror.Close()
+	if v.disk == nil {
+		return nil
 	}
+	v.pmu.Lock()
+	defer v.pmu.Unlock()
+	err := v.image.Close()
+	if jerr := v.journal.Close(); err == nil {
+		err = jerr
+	}
+	return err
+}
+
+// --- Image flush (state.Flusher) -----------------------------------------
+
+// resetTracking starts a flush interval over an image of size bytes.
+// Called with mu held (or before the VFS is shared).
+func (v *VFS) resetTracking(size int64) {
+	v.dirty = make(map[uint32]struct{})
+	v.before = make(map[uint32][]byte)
+	v.origPages = uint32((size + sqldb.PageSize - 1) / sqldb.PageSize)
+}
+
+// noteWrite records, before [off, off+n) of the database file changes,
+// the pages it covers: dirty, and on first touch in this flush interval
+// their current content as the image's before-image.
+func (v *VFS) noteWrite(off int64, n int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for pgno := uint32(off/sqldb.PageSize) + 1; int64(pgno-1)*sqldb.PageSize < off+int64(n); pgno++ {
+		if _, seen := v.dirty[pgno]; seen {
+			continue
+		}
+		v.dirty[pgno] = struct{}{}
+		if pgno <= v.origPages {
+			v.before[pgno] = v.readPage(pgno)
+		}
+	}
+}
+
+// readPage copies database page pgno out of the region (the range is
+// inside the region by construction, so the read cannot fail).
+func (v *VFS) readPage(pgno uint32) []byte {
+	data := make([]byte, sqldb.PageSize)
+	_, _ = v.region.ReadAt(data, int64(pgno-1)*sqldb.PageSize)
+	return data
+}
+
+// Invalidate implements state.Flusher: the region was rewritten
+// underneath the database file (tentative rollback, state transfer), so
+// the tracked pages no longer say how the image differs from it.
+func (v *VFS) Invalidate() { v.stale.Store(true) }
+
+// Capture implements state.Flusher: copy the flush interval's dirty pages
+// out of the region and start the next interval. The persist it returns
+// journals the before-images, fsyncs the journal, writes the pages to the
+// image, fsyncs it and invalidates the journal — once, however many
+// statements dirtied a page. A stale image is rebuilt wholesale instead.
+// After a persist failed, the image is left alone for good.
+func (v *VFS) Capture() (int, func() error) {
+	if v.disk == nil {
+		return 0, nil
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	size := v.logicalSize()
+	if v.brokenErr != nil {
+		v.resetTracking(size)
+		return 0, nil
+	}
+	if v.stale.Swap(false) {
+		v.resetTracking(size)
+		db := make([]byte, size)
+		_, _ = v.region.ReadAt(db, 0) // inside the region, cannot fail
+		return int(v.origPages), func() error { return v.persist(func() error { return v.rebuildImage(db) }) }
+	}
+	if len(v.dirty) == 0 {
+		return 0, nil
+	}
+	pages := make(map[uint32][]byte, len(v.dirty))
+	for pgno := range v.dirty {
+		pages[pgno] = v.readPage(pgno)
+	}
+	origPages, before := v.origPages, v.before
+	v.resetTracking(size)
+	return len(pages), func() error {
+		return v.persist(func() error { return v.writeImage(origPages, before, pages) })
+	}
+}
+
+// Flush captures and persists in one step: the flush point of a region
+// nobody drives, and of AttachState. A latched failure keeps being
+// reported — a standalone database is never silently non-durable.
+func (v *VFS) Flush() error {
+	if _, persist := v.Capture(); persist != nil {
+		if err := persist(); err != nil {
+			return err
+		}
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.brokenErr
+}
+
+// persist runs one image write, latching its failure. Persists captured
+// before a failure but run after it are skipped silently: the failure
+// was reported once.
+func (v *VFS) persist(write func() error) error {
+	v.pmu.Lock()
+	defer v.pmu.Unlock()
+	v.mu.Lock()
+	broken := v.brokenErr != nil
+	v.mu.Unlock()
+	if broken {
+		return nil
+	}
+	err := write()
+	if err != nil {
+		v.mu.Lock()
+		v.brokenErr = fmt.Errorf("sqlstate: disk image abandoned: %w", err)
+		v.mu.Unlock()
+	}
+	return err
+}
+
+// writeImage is the incremental persist. A crash before the journal's
+// fsync leaves the image untouched; after it and until the journal is
+// emptied, recovery rolls the image back to the previous flush point; the
+// emptying itself is not synced, so a crash shortly after it may still
+// find the journal hot and roll back a flush whose replies already left.
+func (v *VFS) writeImage(origPages uint32, before, pages map[uint32][]byte) error {
+	if err := sqldb.WriteJournal(v.journal, origPages, before); err != nil {
+		return fmt.Errorf("sqlstate: image journal: %w", err)
+	}
+	for pgno, data := range pages {
+		if _, err := v.image.WriteAt(data, int64(pgno-1)*sqldb.PageSize); err != nil {
+			return fmt.Errorf("sqlstate: image page %d: %w", pgno, err)
+		}
+	}
+	if err := v.image.Sync(); err != nil {
+		return fmt.Errorf("sqlstate: image sync: %w", err)
+	}
+	return v.journal.Truncate(0)
+}
+
+// rebuildImage replaces the image with db through a temporary file, so a
+// crash leaves the old image or the new one. The journal is empty here
+// (every earlier persist completed, or latched and ended persisting), but
+// its emptying may not be durable yet, and its before-images must never
+// meet the new image: sync it first.
+func (v *VFS) rebuildImage(db []byte) error {
+	if err := v.journal.Sync(); err != nil {
+		return fmt.Errorf("sqlstate: image rebuild: journal sync: %w", err)
+	}
+	tmpName := v.imageName() + ".tmp"
+	tmp, err := v.disk.Open(tmpName)
+	if err != nil {
+		return err
+	}
+	err = tmp.Truncate(0)
+	if err == nil {
+		_, err = tmp.WriteAt(db, 0)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("sqlstate: image rebuild: %w", err)
+	}
+	if err := v.disk.Rename(tmpName, v.imageName()); err != nil {
+		return fmt.Errorf("sqlstate: image rebuild: %w", err)
+	}
+	fresh, err := v.disk.Open(v.imageName())
+	if err != nil {
+		return fmt.Errorf("sqlstate: image rebuild: %w", err)
+	}
+	_ = v.image.Close() // the replaced file; nothing of it is kept
+	v.image = fresh
 	return nil
 }
+
+// --- The region database file --------------------------------------------
 
 // regionFile is the database file mapped onto the replicated region.
 type regionFile struct {
@@ -205,6 +427,9 @@ func (f *regionFile) WriteAt(p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > f.capacity() {
 		return 0, fmt.Errorf("sqlstate: database grew past the region capacity (%d bytes)", f.capacity())
 	}
+	if f.vfs.disk != nil {
+		f.vfs.noteWrite(off, len(p))
+	}
 	// Region WriteAt performs the PBFT modify notification itself.
 	n, err := f.vfs.region.WriteAt(p, off)
 	if err != nil {
@@ -215,11 +440,6 @@ func (f *regionFile) WriteAt(p []byte, off int64) (int, error) {
 			return n, err
 		}
 	}
-	f.vfs.mu.Lock()
-	for page := off / sqldb.PageSize; page <= (off+int64(len(p))-1)/sqldb.PageSize; page++ {
-		f.vfs.dirty[page] = true
-	}
-	f.vfs.mu.Unlock()
 	return n, nil
 }
 
@@ -240,54 +460,16 @@ func (f *regionFile) Truncate(size int64) error {
 				return err
 			}
 		}
+		// The image shrinks with the file: the rare path, rebuilt.
+		f.vfs.stale.Store(true)
 	}
 	return f.vfs.setLogicalSize(size)
 }
 
-// Sync flushes the dirty pages to the database's disk image (the §3.2
-// "database file is synchronized with its disk image on transaction
-// commit"). Without a disk image it is a no-op.
-func (f *regionFile) Sync() error {
-	v := f.vfs
-	if v.mirror == nil {
-		return nil
-	}
-	v.mu.Lock()
-	pages := make([]int64, 0, len(v.dirty))
-	for p := range v.dirty {
-		pages = append(pages, p)
-	}
-	v.dirty = make(map[int64]bool)
-	v.mu.Unlock()
-	buf := make([]byte, sqldb.PageSize)
-	for _, page := range pages {
-		off := page * sqldb.PageSize
-		if _, err := v.region.ReadAt(buf, off); err != nil {
-			return err
-		}
-		if _, err := v.mirror.WriteAt(buf, off); err != nil {
-			return err
-		}
-	}
-	return v.mirror.Sync()
-}
+// Sync is a no-op: the file is memory; its disk image is flushed at flush
+// points (Capture), not per commit.
+func (f *regionFile) Sync() error { return nil }
 
 func (f *regionFile) Size() (int64, error) { return f.vfs.logicalSize(), nil }
 
 func (f *regionFile) Close() error { return nil }
-
-// diskFile adapts an *os.File (journal files).
-type diskFile struct{ f *os.File }
-
-func (d *diskFile) ReadAt(p []byte, off int64) (int, error)  { return d.f.ReadAt(p, off) }
-func (d *diskFile) WriteAt(p []byte, off int64) (int, error) { return d.f.WriteAt(p, off) }
-func (d *diskFile) Truncate(size int64) error                { return d.f.Truncate(size) }
-func (d *diskFile) Sync() error                              { return d.f.Sync() }
-func (d *diskFile) Close() error                             { return d.f.Close() }
-func (d *diskFile) Size() (int64, error) {
-	st, err := d.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
