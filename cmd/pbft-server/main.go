@@ -129,13 +129,13 @@ func run() error {
 	// HTTP mux serves it as /metrics plus a /healthz tied to the
 	// replica's lifecycle.
 	reg := metrics.New()
-	cfg.Opts = cfg.Opts.WithTracer(reg)
+	cfg.Opts.Tracer = reg
 
 	// Durable replica state (-data): crash-restart recovers from the
 	// WAL-backed pages file and manifest instead of a full state
 	// transfer. Diskless (the default) keeps the original fault model.
 	if *data != "" {
-		cfg.Opts = cfg.Opts.WithDataDir(*data)
+		cfg.Opts.DataDir = *data
 	}
 
 	// The flight recorder stamps every request's lifecycle phases; its
@@ -144,7 +144,7 @@ func run() error {
 	var rec *pbft.FlightRecorder
 	if *flight {
 		rec = pbft.NewFlightRecorder(pbft.FlightRecorderConfig{Replica: int(*id), Sink: reg})
-		cfg.Opts = cfg.Opts.WithRecorder(rec)
+		cfg.Opts.Recorder = rec
 	}
 
 	rep, err := pbft.NewReplica(cfg, uint32(*id), kp, conn, application)

@@ -94,12 +94,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rep.Start()
+		go func() { _ = rep.Run(context.Background()) }()
 		replicas[i] = rep
 	}
 	defer func() {
 		for _, r := range replicas {
-			r.Stop()
+			_ = r.Shutdown(context.Background())
 		}
 	}()
 

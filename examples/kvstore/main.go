@@ -198,7 +198,8 @@ func run() error {
 
 	// Four execution shards: operations on different buckets apply in
 	// parallel behind the ordered commit stream.
-	opts := pbft.DefaultOptions().WithExecShards(4)
+	opts := pbft.DefaultOptions()
+	opts.ExecShards = 4
 	cfg := &pbft.Config{Opts: opts}
 	keys := make([]*pbft.KeyPair, n)
 	for i := 0; i < n; i++ {
@@ -227,12 +228,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rep.Start()
+		go func() { _ = rep.Run(context.Background()) }()
 		replicas[i] = rep
 	}
 	defer func() {
 		for _, r := range replicas {
-			r.Stop()
+			_ = r.Shutdown(context.Background())
 		}
 	}()
 

@@ -80,9 +80,9 @@ func run() error {
 	})
 
 	// One metrics registry aggregates the protocol events of all four
-	// replicas (its tracer hooks are safe for concurrent use).
+	// replicas (its OnEvent is safe for concurrent use).
 	reg := metrics.New()
-	cfg.Opts = cfg.Opts.WithTracer(reg)
+	cfg.Opts.Tracer = reg
 
 	// A flight recorder on replica 0 stamps every request's lifecycle
 	// phases (ingress → agreement quorums → execution → reply), keeps
@@ -103,7 +103,7 @@ func run() error {
 		rcfg := cfg
 		if i == 0 {
 			recCfg := *cfg
-			recCfg.Opts = recCfg.Opts.WithRecorder(rec)
+			recCfg.Opts.Recorder = rec
 			rcfg = &recCfg
 		}
 		rep, err := pbft.NewReplica(rcfg, uint32(i), replicaKeys[i], conn, echoApp{})

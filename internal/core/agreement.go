@@ -315,9 +315,7 @@ func (r *Replica) tryCommitted(e *entry) {
 		r.batchCtl.observeCommit(r.now().Sub(e.proposedAt))
 		e.proposedAt = time.Time{}
 	}
-	if r.tracer != nil {
-		r.tracer.OnCommit(CommitEvent{Replica: r.id, View: e.view, Seq: e.seq})
-	}
+	r.emit(trace.Event{Kind: trace.EvCommit, View: e.view, Seq: e.seq})
 	// A commit upgrades tentatively executed replies to stable.
 	if e.executed {
 		for _, rep := range e.replies {

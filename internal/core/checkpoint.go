@@ -41,11 +41,7 @@ func (r *Replica) recordLocalCheckpoint(seq uint64) *ckptRecord {
 // takeCheckpoint produces and broadcasts the checkpoint at seq (§2.1).
 func (r *Replica) takeCheckpoint(seq uint64) {
 	ck := r.recordLocalCheckpoint(seq)
-	r.stats.Checkpoints++
-	if r.tracer != nil {
-		r.tracer.OnCheckpoint(CheckpointEvent{Replica: r.id, Seq: seq, Digest: ck.digest})
-	}
-	r.recEvent(trace.EvCheckpoint, r.view, seq)
+	r.emit(trace.Event{Kind: trace.EvCheckpoint, View: r.view, Seq: seq, Digest: ck.digest})
 	msg := wire.Checkpoint{
 		Seq:         seq,
 		StateDigest: ck.digest,
@@ -183,11 +179,7 @@ func (r *Replica) makeStable(ck *ckptRecord) {
 		return
 	}
 	r.lastStable = ck.seq
-	r.stats.StableCkpts++
-	if r.tracer != nil {
-		r.tracer.OnCheckpoint(CheckpointEvent{Replica: r.id, Seq: ck.seq, Digest: ck.digest, Stable: true})
-	}
-	r.recEvent(trace.EvCheckpointStable, r.view, ck.seq)
+	r.emit(trace.Event{Kind: trace.EvCheckpointStable, View: r.view, Seq: ck.seq, Digest: ck.digest})
 	proof := make([][]byte, 0, len(ck.votes))
 	for _, v := range ck.votes {
 		proof = append(proof, v)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/wire"
@@ -62,10 +63,7 @@ func TestPipelineWindowReplicaDedup(t *testing.T) {
 	cfg, rkeys, _ := testConfig(t, 1, 1)
 	cfg.Opts.ClientWindow = 4
 	r := newTestReplica(t, cfg, 0, rkeys[0])
-	defer func() {
-		r.Start()
-		r.Stop()
-	}()
+	defer r.Shutdown(context.Background())
 
 	exec := func(ts uint64) *wire.Reply {
 		e := newEntry(1)

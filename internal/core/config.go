@@ -181,12 +181,12 @@ type Options struct {
 	// each replica names its own directory.
 	DataDir string `json:"-"`
 
-	// Tracer receives typed protocol events (view changes, checkpoints,
-	// state transfer, batches, commits, client sessions) from the
-	// replica's protocol loop. Nil (the default) disables tracing at
-	// zero hot-loop cost. Tracing is a purely local observer: it never
+	// Tracer receives the replica's protocol events (view changes,
+	// checkpoints, state transfer, batches, commits, client sessions)
+	// on its protocol loop. Nil (the default) disables tracing at zero
+	// hot-loop cost. Tracing is a purely local observer: it never
 	// influences protocol behaviour and is excluded from deployment
-	// files. See Tracer for the blocking rules hooks must obey.
+	// files. See Tracer for the blocking rules it must obey.
 	Tracer Tracer `json:"-"`
 
 	// Recorder is the per-request flight recorder: the replica stamps
@@ -236,58 +236,6 @@ func DefaultOptions() Options {
 		AsyncReap:          true,
 		ClientWindow:       DefaultClientWindow,
 	}
-}
-
-// WithAdaptiveBatching returns a copy of the options with the adaptive
-// batch-sizing controller enabled or disabled (chainable).
-func (o Options) WithAdaptiveBatching(on bool) Options {
-	o.AdaptiveBatching = on
-	return o
-}
-
-// WithAsyncReap returns a copy of the options with asynchronous reaping of
-// the execution engine enabled or disabled (chainable).
-func (o Options) WithAsyncReap(on bool) Options {
-	o.AsyncReap = on
-	return o
-}
-
-// WithExecShards returns a copy of the options with the execution engine
-// sized to n shards (chainable, like Robust).
-func (o Options) WithExecShards(n int) Options {
-	o.ExecShards = n
-	return o
-}
-
-// WithMaxClientSessions returns a copy of the options with the session and
-// dedup-window bound set (chainable). Part of the replicated contract:
-// pass the same value to every replica.
-func (o Options) WithMaxClientSessions(n int) Options {
-	o.MaxClientSessions = n
-	return o
-}
-
-// WithTracer returns a copy of the options with the given event tracer
-// installed (chainable, like WithExecShards). A nil tracer disables
-// tracing.
-func (o Options) WithTracer(t Tracer) Options {
-	o.Tracer = t
-	return o
-}
-
-// WithRecorder returns a copy of the options with the given per-request
-// flight recorder installed (chainable). A nil recorder disables
-// per-request tracing.
-func (o Options) WithRecorder(rec *trace.Recorder) Options {
-	o.Recorder = rec
-	return o
-}
-
-// WithDataDir returns a copy of the options with durable replica state
-// rooted at dir (chainable). An empty dir keeps the replica diskless.
-func (o Options) WithDataDir(dir string) Options {
-	o.DataDir = dir
-	return o
 }
 
 // execShards resolves the effective execution shard count.

@@ -39,9 +39,10 @@
 // A replica runs a one-shot, context-driven lifecycle — Run(ctx) blocks
 // while serving, Shutdown(ctx) drains gracefully (ingress backlog,
 // execution engine, pending replies) before closing, and both are
-// idempotent and safe in every state (ErrStopped / ErrRunning). Typed
-// protocol events (view changes, checkpoints, state transfer, batches,
-// commits, client sessions) flow to an optional Options.Tracer fired
-// from the protocol loop; a nil tracer costs one nil check per event
-// site. See tracer.go for the event taxonomy and blocking rules.
+// idempotent and safe in every state (ErrStopped / ErrRunning). Protocol
+// code reports view changes, checkpoints, state transfers, batches,
+// commits and client sessions through one emit point (tracer.go), which
+// bumps the mirrored Stats counters, feeds the flight recorder's event
+// ring and calls the optional Options.Tracer on the protocol loop; see
+// trace.EventKind for the taxonomy and Tracer for the blocking rules.
 package core

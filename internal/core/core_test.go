@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -233,10 +234,7 @@ func TestReplicaMetaRoundTrip(t *testing.T) {
 	cfg, rkeys, _ := testConfig(t, 1, 1)
 	cfg.Opts.DynamicClients = true
 	r := newTestReplica(t, cfg, 0, rkeys[0])
-	defer func() {
-		r.Start()
-		r.Stop()
-	}()
+	defer r.Shutdown(context.Background())
 
 	// Populate every replicated-metadata structure. Client 100 has a
 	// pipelined window: timestamps 5 and 7 executed, 6 still outstanding.
@@ -258,10 +256,7 @@ func TestReplicaMetaRoundTrip(t *testing.T) {
 	blob := r.marshalMeta()
 
 	r2 := newTestReplica(t, cfg, 1, rkeys[1])
-	defer func() {
-		r2.Start()
-		r2.Stop()
-	}()
+	defer r2.Shutdown(context.Background())
 	if err := r2.unmarshalMeta(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +300,8 @@ func TestAuthenticatorSealVerify(t *testing.T) {
 	cfg, rkeys, ckeys := testConfig(t, 1, 1)
 	r0 := newTestReplica(t, cfg, 0, rkeys[0])
 	r1 := newTestReplica(t, cfg, 1, rkeys[1])
-	defer func() {
-		r0.Start()
-		r0.Stop()
-		r1.Start()
-		r1.Stop()
-	}()
+	defer r0.Shutdown(context.Background())
+	defer r1.Shutdown(context.Background())
 
 	// Replica-to-replica MAC mode (verified by the ingress stage).
 	env := r0.sealToReplicas(wire.MTPrepare, []byte("payload"))
@@ -404,10 +395,7 @@ func TestAllocateClientIDAvoidsCollisions(t *testing.T) {
 	cfg, rkeys, _ := testConfig(t, 1, 0)
 	cfg.Opts.DynamicClients = true
 	r := newTestReplica(t, cfg, 0, rkeys[0])
-	defer func() {
-		r.Start()
-		r.Stop()
-	}()
+	defer r.Shutdown(context.Background())
 	seen := make(map[uint32]bool)
 	for i := 0; i < 200; i++ {
 		id := r.allocateClientID([]byte("same-pubkey"))
@@ -423,10 +411,7 @@ func TestAllocateClientIDAvoidsCollisions(t *testing.T) {
 	// Determinism: a fresh replica with the same seed sequence produces
 	// the same ids (all replicas must agree, §3.1).
 	r2 := newTestReplica(t, cfg, 1, rkeys[1])
-	defer func() {
-		r2.Start()
-		r2.Stop()
-	}()
+	defer r2.Shutdown(context.Background())
 	id2 := r2.allocateClientID([]byte("same-pubkey"))
 	for id := range seen {
 		if id == id2 {
@@ -458,10 +443,7 @@ func TestNonDetDefaults(t *testing.T) {
 	cfg, rkeys, _ := testConfig(t, 1, 0)
 	cfg.Opts.MaxTimeDrift = time.Second
 	r := newTestReplica(t, cfg, 0, rkeys[0])
-	defer func() {
-		r.Start()
-		r.Stop()
-	}()
+	defer r.Shutdown(context.Background())
 	base := time.Unix(1000, 0)
 	r.now = func() time.Time { return base }
 
@@ -506,11 +488,13 @@ func TestReplicaRejectsBadIDs(t *testing.T) {
 func TestInspectOnStoppedReplica(t *testing.T) {
 	cfg, rkeys, _ := testConfig(t, 1, 0)
 	r := newTestReplica(t, cfg, 0, rkeys[0])
-	r.Start()
-	r.Stop()
+	go r.Run(context.Background())
+	r.Inspect(func(Info) {}) // the loop is live
+	if err := r.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	info := r.Info() // must not deadlock after stop
 	if info.View != 0 {
 		t.Fatalf("view = %d", info.View)
 	}
-	r.Stop() // idempotent
 }

@@ -221,13 +221,7 @@ func (r *Replica) submitEntry(e *entry) {
 		r.submitRequest(req, nd, tentative, e)
 	}
 	e.executed = true
-	r.stats.Batches++
-	if r.tracer != nil {
-		r.tracer.OnBatch(BatchEvent{
-			Replica: r.id, View: e.view, Seq: e.seq,
-			Requests: len(e.pp.Entries), Tentative: tentative,
-		})
-	}
+	r.emit(trace.Event{Kind: trace.EvBatch, View: e.view, Seq: e.seq, Count: uint64(len(e.pp.Entries)), Tentative: tentative})
 }
 
 // submitRequest performs one request's loop-side work and hands the

@@ -398,22 +398,20 @@ func (in *ingress) runSerial(recv <-chan transport.Packet) {
 // recorder event (adversarial storms show up as drop-event slopes in a
 // /debug/flight dump) and releases the message.
 func (in *ingress) drop(m *inMsg) {
-	switch m.verdict {
+	var kind trace.EventKind
+	switch m.verdict { // every verdict but vDeliver, which never reaches drop
 	case vDropBadAuth:
 		in.droppedBadAuth.Add(1)
-		if in.rec != nil {
-			in.rec.RecordEvent(trace.EvDropBadAuth, 0, 0)
-		}
+		kind = trace.EvDropBadAuth
 	case vDropMalformed:
 		in.droppedMalformed.Add(1)
-		if in.rec != nil {
-			in.rec.RecordEvent(trace.EvDropMalformed, 0, 0)
-		}
+		kind = trace.EvDropMalformed
 	case vIgnore:
 		in.droppedIgnored.Add(1)
-		if in.rec != nil {
-			in.rec.RecordEvent(trace.EvDropIgnored, 0, 0)
-		}
+		kind = trace.EvDropIgnored
+	}
+	if in.rec != nil {
+		in.rec.RecordEvent(trace.Event{Kind: kind, Replica: in.id})
 	}
 	in.release(m)
 }

@@ -108,17 +108,3 @@ func TestRunContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDeprecatedStartStopWrappers: the legacy API still works and is
-// idempotent in the states it could historically be used in.
-func TestDeprecatedStartStopWrappers(t *testing.T) {
-	cfg, rkeys, _ := testConfig(t, 1, 0)
-	r := newTestReplica(t, cfg, 0, rkeys[0])
-	r.Start()
-	r.Inspect(func(Info) {})
-	r.Stop()
-	r.Stop() // double Stop was always allowed
-	if err := r.Run(context.Background()); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run after Stop = %v, want ErrStopped", err)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 
 	"repro/internal/crypto"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -185,8 +186,7 @@ func (r *Replica) execJoinResponse(req *wire.Request, op *wire.JoinOp, nd NonDet
 				r.unpublishClientAuth(old.ID)
 				delete(r.clientWins, old.ID)
 				delete(r.primaryQueued, old.ID)
-				r.stats.SessionsEvicted++
-				r.traceClientSession(old.ID, SessionEvict)
+				r.emit(trace.Event{Kind: trace.EvSessionEvict, ClientID: old.ID})
 			}
 		}
 		if r.nodes.full() {
@@ -201,8 +201,7 @@ func (r *Replica) execJoinResponse(req *wire.Request, op *wire.JoinOp, nd NonDet
 				r.unpublishClientAuth(old.ID)
 				delete(r.clientWins, old.ID)
 				delete(r.primaryQueued, old.ID)
-				r.stats.SessionsEvicted++
-				r.traceClientSession(old.ID, SessionEvict)
+				r.emit(trace.Event{Kind: trace.EvSessionEvict, ClientID: old.ID})
 			}
 		}
 		if r.nodes.full() {
@@ -222,8 +221,7 @@ func (r *Replica) execJoinResponse(req *wire.Request, op *wire.JoinOp, nd NonDet
 		r.publishClientAuth(admitted)
 		result.ClientID = id
 		result.Accepted = true
-		r.stats.JoinsExecuted++
-		r.traceClientSession(id, SessionJoin)
+		r.emit(trace.Event{Kind: trace.EvSessionJoin, ClientID: id})
 	}
 	delete(r.pendingJoins, key)
 
@@ -284,8 +282,7 @@ func (r *Replica) execLeave(req *wire.Request, tentative bool) *wire.Reply {
 	r.unpublishClientAuth(req.ClientID)
 	delete(r.clientWins, req.ClientID)
 	delete(r.primaryQueued, req.ClientID)
-	r.stats.LeavesExecuted++
-	r.traceClientSession(req.ClientID, SessionLeave)
+	r.emit(trace.Event{Kind: trace.EvSessionLeave, ClientID: req.ClientID})
 	return rep
 }
 
@@ -363,7 +360,7 @@ func (r *Replica) onSessionHello(m *inMsg) {
 	r.nodes.touchSession(client)
 	r.enforceSessionCap()
 	r.publishClientAuth(client)
-	r.traceClientSession(client.ID, SessionHello)
+	r.emit(trace.Event{Kind: trace.EvSessionHello, ClientID: client.ID})
 }
 
 // enforceSessionCap evicts least-recently-active MAC sessions until the
@@ -388,7 +385,6 @@ func (r *Replica) enforceSessionCap() {
 		// the long-term key still verify; MAC'd ones fail until the next
 		// hello, as after a restart.
 		r.publishClientAuth(old)
-		r.stats.SessionsEvicted++
-		r.traceClientSession(old.ID, SessionEvict)
+		r.emit(trace.Event{Kind: trace.EvSessionEvict, ClientID: old.ID})
 	}
 }

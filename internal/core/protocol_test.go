@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,8 +41,8 @@ func newProtocolDriver(t *testing.T, id uint32) *protocolDriver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Start()
-	t.Cleanup(rep.Stop)
+	go rep.Run(context.Background())
+	t.Cleanup(func() { _ = rep.Shutdown(context.Background()) })
 
 	d := &protocolDriver{t: t, cfg: cfg, rkeys: rkeys, net: net, rep: rep, conns: make(map[uint32]transport.Conn)}
 	for i := range cfg.Replicas {

@@ -33,7 +33,7 @@ const (
 )
 
 // Replica is one member of the PBFT group. All protocol state is confined
-// to the event-loop goroutine started by Start; external access goes
+// to the event-loop goroutine started by Run; external access goes
 // through Inspect. Inbound packets reach the loop through the ingress
 // verification pipeline (see ingress.go), which authenticates and decodes
 // them in parallel while preserving arrival order.
@@ -120,8 +120,8 @@ type Replica struct {
 	doneCh chan struct{}
 
 	// Lifecycle state (see Run/Shutdown). lcMu guards lcState; stopOnce
-	// makes the stop signal idempotent across Shutdown, context
-	// cancellation and the deprecated Stop.
+	// makes the stop signal idempotent across Shutdown and context
+	// cancellation.
 	lcMu     sync.Mutex
 	lcState  int
 	stopOnce sync.Once
@@ -143,13 +143,16 @@ type Replica struct {
 }
 
 // Stats counts replica-side protocol events; the harness reads them
-// through Inspect.
+// through Inspect. Batches, Checkpoints, StableCkpts, ViewChanges,
+// StateTransfers, JoinsExecuted, LeavesExecuted and SessionsEvicted
+// mirror an event kind and are bumped only by emit; the per-request and
+// per-packet counters are direct increments.
 type Stats struct {
 	Executed       uint64 // requests executed (excluding read-only)
 	ReadOnlyExec   uint64
 	Batches        uint64 // pre-prepares executed
 	Checkpoints    uint64
-	StableCkpts    uint64
+	StableCkpts    uint64 // by 2f+1 proof or state-transfer install
 	ViewChanges    uint64
 	StateTransfers uint64
 	PagesFetched   uint64
@@ -244,7 +247,7 @@ type pendingJoin struct {
 }
 
 // NewReplica builds a replica. The connection is owned by the replica
-// after this call; Stop closes it.
+// after this call; Shutdown closes it.
 func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn, app Application) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -412,34 +415,25 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 //
 // The lifecycle is one-shot: Run on a running replica returns ErrRunning,
 // Run after Shutdown (or after a previous Run finished) returns
-// ErrStopped. To run in the background, `go r.Run(ctx)` — or use the
-// deprecated Start wrapper.
+// ErrStopped. To run in the background, `go r.Run(ctx)`.
+//
+// The Running -> Stopped transition happens inside run(), before doneCh
+// releases Shutdown waiters, so a caller returning from Shutdown always
+// observes the stopped state (Run -> ErrStopped, Running() -> false).
 func (r *Replica) Run(ctx context.Context) error {
-	if err := r.beginRun(); err != nil {
-		return err
-	}
-	return r.runLifecycle(ctx)
-}
-
-// beginRun performs the New -> Running transition.
-func (r *Replica) beginRun() error {
 	r.lcMu.Lock()
-	defer r.lcMu.Unlock()
-	switch r.lcState {
+	state := r.lcState
+	if state == lcNew {
+		r.lcState = lcRunning
+	}
+	r.lcMu.Unlock()
+	switch state {
 	case lcRunning:
 		return ErrRunning
 	case lcStopped:
 		return ErrStopped
 	}
-	r.lcState = lcRunning
-	return nil
-}
 
-// runLifecycle owns a running replica from ingress start to teardown.
-// The Running -> Stopped transition happens inside run(), before doneCh
-// releases Shutdown waiters, so a caller returning from Shutdown always
-// observes the stopped state (Run -> ErrStopped, Running() -> false).
-func (r *Replica) runLifecycle(ctx context.Context) error {
 	r.ingress.start(r.conn.Recv())
 	if ctx != nil && ctx.Done() != nil {
 		defer context.AfterFunc(ctx, r.signalStop)()
@@ -502,25 +496,6 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 		return nil
 	}
 	return ctx.Done()
-}
-
-// Start launches the replica in the background.
-//
-// Deprecated: use Run, which reports lifecycle errors and supports
-// context cancellation. Start is a thin wrapper that discards both.
-func (r *Replica) Start() {
-	if err := r.beginRun(); err != nil {
-		return
-	}
-	go r.runLifecycle(context.Background())
-}
-
-// Stop terminates the replica and closes the connection.
-//
-// Deprecated: use Shutdown, which bounds the wait with a context. Stop
-// waits for the full graceful teardown.
-func (r *Replica) Stop() {
-	_ = r.Shutdown(context.Background())
 }
 
 // ID returns the replica identifier.
@@ -649,18 +624,11 @@ func (r *Replica) FlightDump() trace.Dump {
 	return r.rec.Dump()
 }
 
-// recEvent records a protocol event into the flight recorder (nil-safe).
-func (r *Replica) recEvent(kind trace.EventKind, view, seq uint64) {
-	if r.rec != nil {
-		r.rec.RecordEvent(kind, view, seq)
-	}
-}
-
-// SetClock injects a clock for tests. Must be called before Start.
+// SetClock injects a clock for tests. Must be called before Run.
 func (r *Replica) SetClock(now func() time.Time) { r.now = now }
 
 // SetNonDet overrides the non-determinism upcalls (§2.5). Must be called
-// before Start. A nil provider or validator keeps the default.
+// before Run. A nil provider or validator keeps the default.
 func (r *Replica) SetNonDet(provider func() wire.NonDet, validator func(wire.NonDet) bool) {
 	if provider != nil {
 		r.ndProvider = provider

@@ -42,15 +42,9 @@ func (r *Replica) startSync(seq uint64, digest, root, metaDigest crypto.Digest, 
 	// observe the region mid-install and seal a torn reply.
 	r.reapApplies()
 	r.exec.Drain()
-	r.stats.StateTransfers++
-	if r.tracer != nil {
-		// A retarget of a running transfer fires another Start: the
-		// trace shows every checkpoint the replica chased.
-		r.tracer.OnStateTransfer(StateTransferEvent{
-			Replica: r.id, Phase: StateTransferStart, Seq: seq, Pages: r.stats.PagesFetched,
-		})
-	}
-	r.recEvent(trace.EvStateTransferStart, r.view, seq)
+	// A retarget of a running transfer emits another start: the trace
+	// shows every checkpoint the replica chased.
+	r.emit(trace.Event{Kind: trace.EvStateTransferStart, View: r.view, Seq: seq, Count: r.stats.PagesFetched})
 	r.sync = &syncState{
 		seq:        seq,
 		digest:     digest,
@@ -209,12 +203,7 @@ func (r *Replica) maybeFinishSync() {
 		// The meta blob matched its digest but failed to parse: the
 		// agreed checkpoint would have to be corrupt. Abandon the sync.
 		r.sync = nil
-		if r.tracer != nil {
-			r.tracer.OnStateTransfer(StateTransferEvent{
-				Replica: r.id, Phase: StateTransferAbort, Seq: s.seq, Pages: r.stats.PagesFetched,
-			})
-		}
-		r.recEvent(trace.EvStateTransferAbort, r.view, s.seq)
+		r.emit(trace.Event{Kind: trace.EvStateTransferAbort, View: r.view, Seq: s.seq, Count: r.stats.PagesFetched})
 		return
 	}
 	r.sync = nil
@@ -247,15 +236,10 @@ func (r *Replica) maybeFinishSync() {
 	r.ckpts[s.seq] = ck
 	r.lastStable = s.seq
 	r.stableProof = s.proof
-	r.recEvent(trace.EvStateTransferFinish, r.view, s.seq)
-	if r.tracer != nil {
-		r.tracer.OnStateTransfer(StateTransferEvent{
-			Replica: r.id, Phase: StateTransferFinish, Seq: s.seq, Pages: r.stats.PagesFetched,
-		})
-		// The installed checkpoint is stable by proof: surface it on the
-		// checkpoint stream too, like a makeStable promotion.
-		r.tracer.OnCheckpoint(CheckpointEvent{Replica: r.id, Seq: s.seq, Digest: s.digest, Stable: true})
-	}
+	r.emit(trace.Event{Kind: trace.EvStateTransferFinish, View: r.view, Seq: s.seq, Count: r.stats.PagesFetched})
+	// The installed checkpoint is stable by proof: report it like a
+	// makeStable promotion.
+	r.emit(trace.Event{Kind: trace.EvCheckpointStable, View: r.view, Seq: s.seq, Digest: s.digest})
 	r.persistStable(ck)
 	r.gcLog()
 	// The installed pages bypassed the application's flusher.

@@ -1,216 +1,60 @@
 package core
 
-import (
-	"repro/internal/crypto"
-)
+import "repro/internal/trace"
 
-// Tracer receives typed protocol events from a replica. Install one
-// through Options.Tracer (or Options.WithTracer) before the replica is
-// built; a nil tracer costs the hot loop nothing beyond one predictable
-// nil check per event site.
+// Tracer receives the replica's protocol events (trace.Event, one flat
+// type tagged by trace.EventKind). Install one through Options.Tracer
+// before the replica is built; a nil tracer costs the hot loop one
+// predictable nil check per event.
 //
 // Goroutine and blocking rules (see also ARCHITECTURE.md, "Observability"):
 //
-//   - Every hook fires on the replica's protocol-loop goroutine, after
-//     the state transition it reports has been applied. Hooks therefore
-//     observe events of one replica in a total order, and never
+//   - OnEvent fires on the replica's protocol-loop goroutine, after the
+//     state transition it reports has been applied. A tracer therefore
+//     observes the events of one replica in a total order, and never
 //     concurrently with each other.
-//   - A hook MUST NOT block and MUST NOT call back into the replica
+//   - OnEvent MUST NOT block and MUST NOT call back into the replica
 //     (Info, Inspect, Shutdown): the protocol loop is stalled for as long
-//     as the hook runs, and Inspect from a hook deadlocks. Aggregate
-//     cheaply (counters, ring buffers, non-blocking channel sends) and do
+//     as it runs, and Inspect from a tracer deadlocks. Aggregate cheaply
+//     (counters, ring buffers, non-blocking channel sends) and do
 //     expensive work elsewhere.
 //   - One Tracer instance may be shared by several replicas (the metrics
 //     registry and the bench harness do this); every event carries the
-//     reporting replica's id, but the hooks themselves must then be
-//     safe for concurrent use.
+//     reporting replica's id, but OnEvent must then be safe for
+//     concurrent use.
 type Tracer interface {
-	// OnViewChange reports view-change progress: one Start when the
-	// replica abandons its view and votes, one Install when it enters
-	// the new view (the Install may arrive without a Start on replicas
-	// that jump directly into a proven new view).
-	OnViewChange(ViewChangeEvent)
-	// OnCheckpoint reports a locally produced checkpoint (Stable=false)
-	// and its later promotion by a 2f+1 proof (Stable=true).
-	OnCheckpoint(CheckpointEvent)
-	// OnStateTransfer reports state-transfer progress: Start, then
-	// Finish or Abort. Retargeting mid-transfer emits another Start.
-	OnStateTransfer(StateTransferEvent)
-	// OnBatch reports one agreed batch handed to the execution engine.
-	OnBatch(BatchEvent)
-	// OnCommit reports one sequence number reaching its 2f+1 commit
-	// certificate.
-	OnCommit(CommitEvent)
-	// OnClientSession reports client session lifecycle: MAC session
-	// establishment, dynamic join/leave, and session eviction.
-	OnClientSession(ClientSessionEvent)
+	OnEvent(trace.Event)
 }
 
-// ViewChangePhase tags a ViewChangeEvent.
-type ViewChangePhase uint8
-
-const (
-	// ViewChangeStart: the replica abandoned its view and broadcast a
-	// view-change vote for Target.
-	ViewChangeStart ViewChangePhase = iota
-	// ViewChangeInstall: the replica entered view View (new-view message
-	// validated, re-proposals accepted).
-	ViewChangeInstall
-)
-
-// String renders the phase for logs and test failures.
-func (p ViewChangePhase) String() string {
-	switch p {
-	case ViewChangeStart:
-		return "start"
-	case ViewChangeInstall:
-		return "install"
+// emit is the one point protocol code reports an event through: it
+// stamps the replica id, bumps the Stats counter that mirrors the kind,
+// feeds the flight recorder's event ring (which keeps only the kinds it
+// retains) and calls the tracer — always in that order, so the three
+// surfaces cannot disagree about what happened.
+func (r *Replica) emit(ev trace.Event) {
+	ev.Replica = r.id
+	switch ev.Kind {
+	case trace.EvViewChangeStart:
+		r.stats.ViewChanges++
+	case trace.EvCheckpoint:
+		r.stats.Checkpoints++
+	case trace.EvCheckpointStable:
+		r.stats.StableCkpts++
+	case trace.EvStateTransferStart:
+		r.stats.StateTransfers++
+	case trace.EvBatch:
+		r.stats.Batches++
+	case trace.EvSessionJoin:
+		r.stats.JoinsExecuted++
+	case trace.EvSessionLeave:
+		r.stats.LeavesExecuted++
+	case trace.EvSessionEvict:
+		r.stats.SessionsEvicted++
 	}
-	return "unknown"
-}
-
-// ViewChangeEvent reports view-change progress.
-type ViewChangeEvent struct {
-	Replica uint32
-	Phase   ViewChangePhase
-	// View is the view in force after the event: the abandoned view for
-	// Start, the newly installed view for Install.
-	View uint64
-	// Target is the view voted for (Start) or installed (Install).
-	Target uint64
-}
-
-// CheckpointEvent reports checkpoint production and stabilization.
-type CheckpointEvent struct {
-	Replica uint32
-	Seq     uint64
-	// Digest is the composite state digest (region root + metadata).
-	Digest crypto.Digest
-	// Stable is false when the local snapshot is taken and true when a
-	// 2f+1 proof promotes it (each checkpoint fires both, in order).
-	Stable bool
-}
-
-// StateTransferPhase tags a StateTransferEvent.
-type StateTransferPhase uint8
-
-const (
-	// StateTransferStart: the replica began fetching a proven remote
-	// checkpoint (also fired when an in-progress transfer retargets to
-	// a newer one).
-	StateTransferStart StateTransferPhase = iota
-	// StateTransferFinish: the transferred checkpoint was verified and
-	// installed.
-	StateTransferFinish
-	// StateTransferAbort: the transfer was abandoned (corrupt metadata).
-	StateTransferAbort
-)
-
-// String renders the phase for logs and test failures.
-func (p StateTransferPhase) String() string {
-	switch p {
-	case StateTransferStart:
-		return "start"
-	case StateTransferFinish:
-		return "finish"
-	case StateTransferAbort:
-		return "abort"
+	if r.rec != nil {
+		r.rec.RecordEvent(ev)
 	}
-	return "unknown"
-}
-
-// StateTransferEvent reports state-transfer progress.
-type StateTransferEvent struct {
-	Replica uint32
-	Phase   StateTransferPhase
-	// Seq is the sequence number of the checkpoint being transferred.
-	Seq uint64
-	// Pages is the cumulative count of state pages fetched by this
-	// replica (meaningful on Finish).
-	Pages uint64
-}
-
-// BatchEvent reports one agreed batch (pre-prepare) handed to execution.
-type BatchEvent struct {
-	Replica uint32
-	View    uint64
-	Seq     uint64
-	// Requests is the number of requests in the batch.
-	Requests int
-	// Tentative marks execution after prepare but before commit (§2.1).
-	Tentative bool
-}
-
-// CommitEvent reports a sequence number reaching its commit certificate.
-type CommitEvent struct {
-	Replica uint32
-	View    uint64
-	Seq     uint64
-}
-
-// ClientSessionKind tags a ClientSessionEvent.
-type ClientSessionKind uint8
-
-const (
-	// SessionHello: a MAC session was (re-)established for the client.
-	SessionHello ClientSessionKind = iota
-	// SessionJoin: a dynamic client was admitted (§3.1).
-	SessionJoin
-	// SessionLeave: a dynamic client left.
-	SessionLeave
-	// SessionEvict: a session was evicted (staleness or single-session-
-	// per-principal).
-	SessionEvict
-)
-
-// String renders the kind for logs and test failures.
-func (k ClientSessionKind) String() string {
-	switch k {
-	case SessionHello:
-		return "hello"
-	case SessionJoin:
-		return "join"
-	case SessionLeave:
-		return "leave"
-	case SessionEvict:
-		return "evict"
-	}
-	return "unknown"
-}
-
-// ClientSessionEvent reports client session lifecycle.
-type ClientSessionEvent struct {
-	Replica  uint32
-	ClientID uint32
-	Kind     ClientSessionKind
-}
-
-// NopTracer implements Tracer with empty hooks. Embed it to implement
-// only the hooks a tracer cares about.
-type NopTracer struct{}
-
-// OnViewChange implements Tracer.
-func (NopTracer) OnViewChange(ViewChangeEvent) {}
-
-// OnCheckpoint implements Tracer.
-func (NopTracer) OnCheckpoint(CheckpointEvent) {}
-
-// OnStateTransfer implements Tracer.
-func (NopTracer) OnStateTransfer(StateTransferEvent) {}
-
-// OnBatch implements Tracer.
-func (NopTracer) OnBatch(BatchEvent) {}
-
-// OnCommit implements Tracer.
-func (NopTracer) OnCommit(CommitEvent) {}
-
-// OnClientSession implements Tracer.
-func (NopTracer) OnClientSession(ClientSessionEvent) {}
-
-// traceClientSession is the one shared emission helper: session events
-// fire from several membership paths.
-func (r *Replica) traceClientSession(id uint32, kind ClientSessionKind) {
 	if r.tracer != nil {
-		r.tracer.OnClientSession(ClientSessionEvent{Replica: r.id, ClientID: id, Kind: kind})
+		r.tracer.OnEvent(ev)
 	}
 }

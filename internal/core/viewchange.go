@@ -17,16 +17,10 @@ func (r *Replica) startViewChange(target uint64) {
 	if r.inViewChange && target <= r.vcTarget {
 		return
 	}
-	r.stats.ViewChanges++
 	r.inViewChange = true
 	r.vcTarget = target
 	r.vcDeadline = r.now().Add(r.cfg.Opts.ViewChangeTimeout)
-	if r.tracer != nil {
-		r.tracer.OnViewChange(ViewChangeEvent{
-			Replica: r.id, Phase: ViewChangeStart, View: r.view, Target: target,
-		})
-	}
-	r.recEvent(trace.EvViewChangeStart, target, r.seq)
+	r.emit(trace.Event{Kind: trace.EvViewChangeStart, View: r.view, Seq: r.seq, Target: target})
 	r.pendingQueue = nil
 	r.rollbackTentative()
 
@@ -260,14 +254,9 @@ func (r *Replica) installNewView(nv *wire.NewView, raw []byte) {
 	r.vcTarget = 0
 	r.vcDeadline = time.Time{} // disarmed until the next view change
 	r.newViewRaw = raw
-	if r.tracer != nil {
-		// Fires before the re-proposed batches replay, so a trace reads
-		// install -> (re)agreement -> execution in order.
-		r.tracer.OnViewChange(ViewChangeEvent{
-			Replica: r.id, Phase: ViewChangeInstall, View: nv.View, Target: nv.View,
-		})
-	}
-	r.recEvent(trace.EvViewChangeInstall, nv.View, r.seq)
+	// Fires before the re-proposed batches replay, so a trace reads
+	// install -> (re)agreement -> execution in order.
+	r.emit(trace.Event{Kind: trace.EvViewChangeInstall, View: nv.View, Seq: r.seq, Target: nv.View})
 	r.primaryQueued = make(map[uint32]map[uint64]bool)
 	r.primaryJoinSeen = nil
 	r.pendingQueue = nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -145,7 +146,7 @@ func TestAdversaryEquivocatingPrimary(t *testing.T) {
 			if e.Target != 1 {
 				t.Fatalf("replica %d voted/installed view %d, want only view 1: %+v", id, e.Target, e)
 			}
-			if e.Phase == core.ViewChangeInstall {
+			if e.Kind == trace.EvViewChangeInstall {
 				installs++
 				if e.View != 1 {
 					t.Fatalf("replica %d installed view %d, want 1", id, e.View)
@@ -275,7 +276,7 @@ func TestAdversaryAsymmetricPartitionHeals(t *testing.T) {
 	for {
 		var finished bool
 		for _, e := range tracer(3).stateTransfers() {
-			if e.Phase == core.StateTransferFinish {
+			if e.Kind == trace.EvStateTransferFinish {
 				finished = true
 			}
 		}
@@ -358,7 +359,7 @@ func TestAdversaryCombinedEquivocationAndPartition(t *testing.T) {
 		}
 		var installs int
 		for _, e := range tracer(id).viewChanges() {
-			if e.Phase == core.ViewChangeInstall {
+			if e.Kind == trace.EvViewChangeInstall {
 				installs++
 				if e.View != 1 {
 					t.Fatalf("replica %d installed view %d, want 1", id, e.View)
@@ -464,7 +465,7 @@ func TestAdversaryStaleViewChangeReplay(t *testing.T) {
 		}
 		var installs int
 		for _, e := range tracer(id).viewChanges() {
-			if e.Phase == core.ViewChangeInstall {
+			if e.Kind == trace.EvViewChangeInstall {
 				installs++
 			}
 		}

@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// chaosTracer timestamps recovery-relevant tracer events (view installs,
-// state-transfer finishes) and forwards everything to an optional outer
-// tracer. One shared instance serves every replica; hooks are
+// chaosTracer timestamps view installs (the recovery point the chaos
+// phases measure to) and forwards everything to an optional outer
+// tracer. One shared instance serves every replica; OnEvent is
 // concurrency-safe.
 type chaosTracer struct {
 	fwd core.Tracer // may be nil
@@ -28,14 +29,14 @@ type chaosInstall struct {
 	at      time.Time
 }
 
-func (c *chaosTracer) OnViewChange(e core.ViewChangeEvent) {
-	if e.Phase == core.ViewChangeInstall {
+func (c *chaosTracer) OnEvent(ev trace.Event) {
+	if ev.Kind == trace.EvViewChangeInstall {
 		c.mu.Lock()
-		c.installs = append(c.installs, chaosInstall{replica: e.Replica, view: e.View, at: time.Now()})
+		c.installs = append(c.installs, chaosInstall{replica: ev.Replica, view: ev.View, at: time.Now()})
 		c.mu.Unlock()
 	}
 	if c.fwd != nil {
-		c.fwd.OnViewChange(e)
+		c.fwd.OnEvent(ev)
 	}
 }
 
@@ -51,36 +52,6 @@ func (c *chaosTracer) installOf(id uint32, v uint64, cutoff time.Time) (time.Tim
 		}
 	}
 	return time.Time{}, false
-}
-
-func (c *chaosTracer) OnCheckpoint(e core.CheckpointEvent) {
-	if c.fwd != nil {
-		c.fwd.OnCheckpoint(e)
-	}
-}
-
-func (c *chaosTracer) OnStateTransfer(e core.StateTransferEvent) {
-	if c.fwd != nil {
-		c.fwd.OnStateTransfer(e)
-	}
-}
-
-func (c *chaosTracer) OnBatch(e core.BatchEvent) {
-	if c.fwd != nil {
-		c.fwd.OnBatch(e)
-	}
-}
-
-func (c *chaosTracer) OnCommit(e core.CommitEvent) {
-	if c.fwd != nil {
-		c.fwd.OnCommit(e)
-	}
-}
-
-func (c *chaosTracer) OnClientSession(e core.ClientSessionEvent) {
-	if c.fwd != nil {
-		c.fwd.OnClientSession(e)
-	}
 }
 
 // RunChaos drives the adversary suite under load and measures recovery

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // waitReplicaStable polls until replica id reports a stable checkpoint
@@ -94,7 +95,7 @@ func restartTransferStats(t *testing.T, durable bool, seed int64) (info core.Inf
 	tr := tracers[3]
 	mu.Unlock()
 	for _, e := range tr.stateTransfers() {
-		if e.Phase == core.StateTransferFinish {
+		if e.Kind == trace.EvStateTransferFinish {
 			finishes++
 		}
 	}

@@ -459,7 +459,8 @@ func RunExecShardComparison(opts ExperimentOptions, shards []int) error {
 		opts.NumClients, max(opts.PipelineDepth, 1))
 	fmt.Fprintf(w, "%8s %10s %10s %12s %10s %8s\n", "shards", "TPS", "ops", "sharded-ops", "barriers", "errors")
 	for _, s := range shards {
-		o := buildOptions(LibConfig{Static: true, MACs: true, AllBig: true, Batch: true}).WithExecShards(s)
+		o := buildOptions(LibConfig{Static: true, MACs: true, AllBig: true, Batch: true})
+		o.ExecShards = s
 		cluster, err := NewCluster(ClusterOptions{
 			Opts:       o,
 			NumClients: opts.NumClients,

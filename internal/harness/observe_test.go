@@ -7,41 +7,41 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/pbft/metrics"
 )
 
 // recordingTracer captures view-change and state-transfer events for
-// exact-sequence assertions. Hooks fire on the replica's protocol loop;
-// the mutex makes the recorded slices readable from the test goroutine.
+// exact-sequence assertions. OnEvent fires on the replica's protocol
+// loop; the mutex makes the recorded slices readable from the test
+// goroutine.
 type recordingTracer struct {
-	core.NopTracer
 	mu sync.Mutex
-	vc []core.ViewChangeEvent
-	st []core.StateTransferEvent
+	vc []trace.Event
+	st []trace.Event
 }
 
-func (r *recordingTracer) OnViewChange(e core.ViewChangeEvent) {
+func (r *recordingTracer) OnEvent(ev trace.Event) {
 	r.mu.Lock()
-	r.vc = append(r.vc, e)
+	switch ev.Kind {
+	case trace.EvViewChangeStart, trace.EvViewChangeInstall:
+		r.vc = append(r.vc, ev)
+	case trace.EvStateTransferStart, trace.EvStateTransferFinish, trace.EvStateTransferAbort:
+		r.st = append(r.st, ev)
+	}
 	r.mu.Unlock()
 }
 
-func (r *recordingTracer) OnStateTransfer(e core.StateTransferEvent) {
-	r.mu.Lock()
-	r.st = append(r.st, e)
-	r.mu.Unlock()
-}
-
-func (r *recordingTracer) viewChanges() []core.ViewChangeEvent {
+func (r *recordingTracer) viewChanges() []trace.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]core.ViewChangeEvent(nil), r.vc...)
+	return append([]trace.Event(nil), r.vc...)
 }
 
-func (r *recordingTracer) stateTransfers() []core.StateTransferEvent {
+func (r *recordingTracer) stateTransfers() []trace.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]core.StateTransferEvent(nil), r.st...)
+	return append([]trace.Event(nil), r.st...)
 }
 
 // TestTracerViewChangeSequence injects a primary failure and asserts the
@@ -91,10 +91,10 @@ func TestTracerViewChangeSequence(t *testing.T) {
 		if len(events) != 2 {
 			t.Fatalf("replica %d: view-change events = %+v, want exactly [start, install]", id+1, events)
 		}
-		if events[0].Phase != core.ViewChangeStart || events[0].Target != 1 || events[0].View != 0 {
+		if events[0].Kind != trace.EvViewChangeStart || events[0].Target != 1 || events[0].View != 0 {
 			t.Fatalf("replica %d: first event %+v, want start 0->1", id+1, events[0])
 		}
-		if events[1].Phase != core.ViewChangeInstall || events[1].View != 1 {
+		if events[1].Kind != trace.EvViewChangeInstall || events[1].View != 1 {
 			t.Fatalf("replica %d: second event %+v, want install of view 1", id+1, events[1])
 		}
 		if st := tr.stateTransfers(); len(st) != 0 {
@@ -117,12 +117,12 @@ func TestTracerViewChangeSequence(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := tr0.stateTransfers()
-		if len(st) > 0 && st[len(st)-1].Phase == core.StateTransferFinish {
-			if st[0].Phase != core.StateTransferStart {
+		if len(st) > 0 && st[len(st)-1].Kind == trace.EvStateTransferFinish {
+			if st[0].Kind != trace.EvStateTransferStart {
 				t.Fatalf("restarted replica: first transfer event %+v, want start", st[0])
 			}
 			for _, e := range st {
-				if e.Phase == core.StateTransferAbort {
+				if e.Kind == trace.EvStateTransferAbort {
 					t.Fatalf("restarted replica: transfer aborted: %+v", st)
 				}
 			}

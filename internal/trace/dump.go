@@ -50,6 +50,8 @@ type EventDump struct {
 	AtNs int64  `json:"at_ns"`
 	View uint64 `json:"view,omitempty"`
 	Seq  uint64 `json:"seq,omitempty"`
+	// Target is the view a view-change event votes for or installs.
+	Target uint64 `json:"target,omitempty"`
 }
 
 func dumpTimeline(tl *Timeline) TimelineDump {
@@ -101,7 +103,7 @@ func (r *Recorder) Dump() Dump {
 	}
 	for i := ehead - en; i < ehead; i++ {
 		if e := r.events[i&r.eventMask].Load(); e != nil {
-			d.Events = append(d.Events, EventDump{Kind: e.Kind.String(), AtNs: e.At, View: e.View, Seq: e.Seq})
+			d.Events = append(d.Events, EventDump{Kind: e.Kind.String(), AtNs: e.At, View: e.View, Seq: e.Seq, Target: e.Target})
 		}
 	}
 

@@ -175,18 +175,48 @@ func (t *Timeline) Segments() []Segment {
 	return out
 }
 
-// EventKind enumerates protocol events the flight recorder keeps
-// alongside request timelines.
+// EventKind enumerates the protocol events of one replica. The replica
+// emits every kind but the drops through its one emit point (tracer,
+// flight ring and the mirrored Stats counters all derive from that
+// stream); the drop kinds are recorded by the ingress pipeline, off the
+// protocol loop, and reach the flight ring only.
 type EventKind uint8
 
 const (
+	// EvViewChangeStart: the replica abandoned View and voted for Target.
 	EvViewChangeStart EventKind = iota
+	// EvViewChangeInstall: the replica entered View (= Target). It may
+	// arrive without a start on a replica that jumps into a proven view.
 	EvViewChangeInstall
+	// EvCheckpoint: a local checkpoint was taken at Seq with Digest.
 	EvCheckpoint
+	// EvCheckpointStable: the checkpoint at Seq became stable, by a 2f+1
+	// proof or by installing a state transfer.
 	EvCheckpointStable
+	// EvStateTransferStart: a fetch of the proven checkpoint Seq began
+	// (a retarget of a running transfer emits another start).
 	EvStateTransferStart
+	// EvStateTransferFinish: the checkpoint at Seq was verified and
+	// installed. Count is the replica's cumulative pages fetched.
 	EvStateTransferFinish
+	// EvStateTransferAbort: the transfer was abandoned (corrupt metadata).
 	EvStateTransferAbort
+	// EvBatch: the agreed batch Seq of Count requests was handed to the
+	// execution engine; Tentative marks execution before commit (§2.1).
+	EvBatch
+	// EvCommit: Seq reached its 2f+1 commit certificate.
+	EvCommit
+	// EvSessionHello: a MAC session was (re-)established for ClientID.
+	EvSessionHello
+	// EvSessionJoin: the dynamic client ClientID was admitted (§3.1).
+	EvSessionJoin
+	// EvSessionLeave: the dynamic client ClientID left.
+	EvSessionLeave
+	// EvSessionEvict: ClientID's session was evicted (staleness, the
+	// session cap, or single-session-per-principal).
+	EvSessionEvict
+	// EvDropBadAuth, EvDropMalformed, EvDropIgnored: an ingress verdict
+	// discarded a packet (adversarial storms show as drop-event slopes).
 	EvDropBadAuth
 	EvDropMalformed
 	EvDropIgnored
@@ -197,6 +227,8 @@ var eventNames = [numEventKinds]string{
 	"view_change_start", "view_change_install",
 	"checkpoint", "checkpoint_stable",
 	"state_transfer_start", "state_transfer_finish", "state_transfer_abort",
+	"batch", "commit",
+	"session_hello", "session_join", "session_leave", "session_evict",
 	"drop_bad_auth", "drop_malformed", "drop_ignored",
 }
 
@@ -207,13 +239,39 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one protocol event: a view change, checkpoint, state
-// transfer transition, or an (adversary-triggered) ingress drop.
+// ringed reports whether the flight ring keeps events of this kind. The
+// per-sequence kinds (batch, commit) and the per-client session kinds
+// would flush the rare transitions a post-mortem needs — view changes,
+// checkpoints, state transfers — out of a 256-entry ring within
+// milliseconds under load, so they go to the tracer only.
+func (k EventKind) ringed() bool {
+	switch k {
+	case EvBatch, EvCommit, EvSessionHello, EvSessionJoin, EvSessionLeave, EvSessionEvict:
+		return false
+	}
+	return true
+}
+
+// Event is one protocol event, flat across kinds: a field a kind does
+// not document (see EventKind) is zero.
 type Event struct {
-	At   int64 // nanos since the recorder base
-	Kind EventKind
+	// At is nanoseconds since the recorder base, stamped when the event
+	// enters a flight ring; zero on the tracer stream.
+	At      int64
+	Kind    EventKind
+	Replica uint32
+	// View is the view in force after the event: the abandoned view for
+	// a view-change start, the installed view for an install.
 	View uint64
 	Seq  uint64
+	// Target is the view voted for (start) or installed (install).
+	Target   uint64
+	Count    uint64
+	ClientID uint32
+	// Digest is the composite state digest (region root + metadata) of a
+	// checkpoint event.
+	Digest    [32]byte
+	Tentative bool
 }
 
 // Sink receives per-phase durations as timelines finalize. Implemented
@@ -497,11 +555,16 @@ func (r *Recorder) quantileLocked() int64 {
 }
 
 // RecordEvent appends a protocol event to the flight recorder's event
-// ring.
-func (r *Recorder) RecordEvent(kind EventKind, view, seq uint64) {
-	e := &Event{At: r.Now(), Kind: kind, View: view, Seq: seq}
+// ring, stamping its At. Kinds the ring does not keep (EventKind.ringed)
+// are dropped here, the one place that decides.
+func (r *Recorder) RecordEvent(ev Event) {
+	if !ev.Kind.ringed() {
+		return
+	}
+	e := ev // the heap copy the ring keeps; a dropped kind allocates nothing
+	e.At = r.Now()
 	i := r.eventHead.Add(1) - 1
-	r.events[i&r.eventMask].Store(e)
+	r.events[i&r.eventMask].Store(&e)
 }
 
 // Evicted returns how many in-flight timelines were lost to active-slot

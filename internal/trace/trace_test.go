@@ -110,7 +110,7 @@ func TestConcurrentStampDump(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < 500; i++ {
-			r.RecordEvent(EvCheckpoint, 0, i)
+			r.RecordEvent(Event{Kind: EvCheckpoint, Seq: i})
 		}
 	}()
 	var dumps sync.WaitGroup
@@ -192,7 +192,7 @@ func TestSlowLogRetainsOutliers(t *testing.T) {
 func TestEventRingWrap(t *testing.T) {
 	r := New(Config{Events: 8})
 	for i := uint64(0); i < 20; i++ {
-		r.RecordEvent(EvViewChangeInstall, i, 0)
+		r.RecordEvent(Event{Kind: EvViewChangeInstall, View: i})
 	}
 	d := r.Dump()
 	if len(d.Events) != 8 {

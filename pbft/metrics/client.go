@@ -50,12 +50,18 @@ func (c *ClientMetrics) Snapshot() ClientSnapshot {
 	return ClientSnapshot{Requests: c.requests, Failures: c.failures, Latency: c.latency.snapshot()}
 }
 
+var clientSeries = []series[ClientSnapshot]{
+	{name: "pbft_client_requests_total", typ: "counter", help: "Client calls completed (any outcome).",
+		value: func(s ClientSnapshot) any { return s.Requests }},
+	{name: "pbft_client_failures_total", typ: "counter", help: "Client calls completed with an error.",
+		value: func(s ClientSnapshot) any { return s.Failures }},
+	{name: "pbft_client_latency_seconds", typ: "histogram", help: "Client call duration, submit to outcome.",
+		value: func(s ClientSnapshot) any { return s.Latency }},
+}
+
 // WritePrometheus renders the client aggregates.
 func (c *ClientMetrics) WritePrometheus(w io.Writer) {
-	s := c.Snapshot()
-	writeCounter(w, "pbft_client_requests_total", "Client calls completed (any outcome).", s.Requests)
-	writeCounter(w, "pbft_client_failures_total", "Client calls completed with an error.", s.Failures)
-	writeHistogram(w, "pbft_client_latency_seconds", "Client call duration, submit to outcome.", s.Latency)
+	writeSeries(w, clientSeries, []source[ClientSnapshot]{{v: c.Snapshot()}})
 }
 
 // Handler serves the /metrics content.

@@ -1,23 +1,25 @@
 // Package metrics is the aggregating observability surface of the PBFT
-// node runtime: a pbft.Tracer implementation that folds the typed event
-// stream into counters and latency histograms, polls replica gauges
-// (execution-engine queue depth, ingress verify backlog), and exposes
-// everything over HTTP in the Prometheus text format.
+// node runtime: a pbft.Tracer implementation that folds the event stream
+// into counters and latency histograms (one switch over the event
+// kind), polls replica gauges (execution-engine queue depth, ingress
+// verify backlog), and exposes everything over HTTP in the Prometheus
+// text format, rendered from one table of series per source type.
 //
 // One Metrics registry may serve one replica (cmd/pbft-server) or
 // aggregate several (the bench harness registers every replica of a
-// cluster); events carry the reporting replica's id and the hooks are
-// safe for concurrent use. Typical wiring:
+// cluster); events carry the reporting replica's id and OnEvent is safe
+// for concurrent use. Typical wiring:
 //
 //	m := metrics.New()
-//	rep, _ := pbft.NewReplica(cfg, id, kp, conn, app) // opts.WithTracer(m)
+//	cfg.Opts.Tracer = m
+//	rep, _ := pbft.NewReplica(cfg, id, kp, conn, app)
 //	m.AddReplica(id, rep.Info)
 //	go http.ListenAndServe(addr, metrics.Mux(m, rep.Running))
 //	go rep.Run(ctx)
 //
-// The tracer hooks run on the replica's protocol loop, so they do only
-// constant work under a mutex: counter bumps and bounded histogram
-// inserts. Everything else (gauge polling, text rendering) happens on the
+// OnEvent runs on the replica's protocol loop, so it does only constant
+// work under a mutex: counter bumps and bounded histogram inserts.
+// Everything else (gauge polling, text rendering) happens on the
 // scraper's goroutine.
 package metrics
 
@@ -62,23 +64,10 @@ type Metrics struct {
 	flights    []flightSource
 }
 
-// groupState is one group's aggregate counters and histograms.
+// groupState is one group's aggregates: the event counters, kept in the
+// Snapshot shape they are handed out in, and the histograms beside them.
 type groupState struct {
-	commits            uint64
-	batches            uint64
-	requests           uint64
-	tentativeBatches   uint64
-	vcStarted          uint64
-	vcInstalled        uint64
-	checkpoints        uint64
-	stableCheckpoints  uint64
-	transfersStarted   uint64
-	transfersCompleted uint64
-	transfersAborted   uint64
-	sessionHellos      uint64
-	joins              uint64
-	leaves             uint64
-	evictions          uint64
+	counts Snapshot // counter fields only; snapshotLocked fills the rest
 
 	batchSize  *histogram
 	vcDuration *histogram // seconds, start -> install per replica
@@ -206,7 +195,7 @@ func New() *Metrics {
 }
 
 // Group returns a view of the registry that records into group g: its
-// tracer hooks, ObservePhase, and Add* registrations are the per-group
+// OnEvent, ObservePhase, and Add* registrations are the per-group
 // analogues of the registry's own. Partitioned deployments hand group
 // g's replicas Group(g); everything else keeps using the registry
 // directly (group 0). Registering any group other than 0 switches the
@@ -278,103 +267,57 @@ func (m *Metrics) addTransport(g int, id uint32, stats func() pbft.BatchStats) {
 
 // --- pbft.Tracer ---------------------------------------------------------
 
-// OnViewChange implements pbft.Tracer.
-func (m *Metrics) OnViewChange(e pbft.ViewChangeEvent) { m.onViewChange(0, e) }
+// OnEvent implements pbft.Tracer: the event lands in group 0.
+func (m *Metrics) OnEvent(ev pbft.Event) { m.record(0, ev) }
 
-func (m *Metrics) onViewChange(g int, e pbft.ViewChangeEvent) {
-	t := m.now()
+// record folds one event into group g's aggregates.
+func (m *Metrics) record(g int, ev pbft.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	gs := m.group(g)
-	switch e.Phase {
-	case pbft.ViewChangeStart:
-		gs.vcStarted++
-		if _, running := gs.vcStart[e.Replica]; !running {
+	c := &gs.counts
+	switch ev.Kind {
+	case pbft.EvViewChangeStart:
+		c.ViewChangesStarted++
+		if _, running := gs.vcStart[ev.Replica]; !running {
 			// A cascade (start for v+1 after a stalled start for v) keeps
 			// the first start time: the sample measures how long the
 			// replica was without an operating view.
-			gs.vcStart[e.Replica] = t
+			gs.vcStart[ev.Replica] = m.now()
 		}
-	case pbft.ViewChangeInstall:
-		gs.vcInstalled++
-		if s, ok := gs.vcStart[e.Replica]; ok {
-			gs.vcDuration.observe(t.Sub(s).Seconds())
-			delete(gs.vcStart, e.Replica)
+	case pbft.EvViewChangeInstall:
+		c.ViewChangesInstalled++
+		if s, ok := gs.vcStart[ev.Replica]; ok {
+			gs.vcDuration.observe(m.now().Sub(s).Seconds())
+			delete(gs.vcStart, ev.Replica)
 		}
-	}
-}
-
-// OnCheckpoint implements pbft.Tracer.
-func (m *Metrics) OnCheckpoint(e pbft.CheckpointEvent) { m.onCheckpoint(0, e) }
-
-func (m *Metrics) onCheckpoint(g int, e pbft.CheckpointEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gs := m.group(g)
-	if e.Stable {
-		gs.stableCheckpoints++
-	} else {
-		gs.checkpoints++
-	}
-}
-
-// OnStateTransfer implements pbft.Tracer.
-func (m *Metrics) OnStateTransfer(e pbft.StateTransferEvent) { m.onStateTransfer(0, e) }
-
-func (m *Metrics) onStateTransfer(g int, e pbft.StateTransferEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gs := m.group(g)
-	switch e.Phase {
-	case pbft.StateTransferStart:
-		gs.transfersStarted++
-	case pbft.StateTransferFinish:
-		gs.transfersCompleted++
-	case pbft.StateTransferAbort:
-		gs.transfersAborted++
-	}
-}
-
-// OnBatch implements pbft.Tracer.
-func (m *Metrics) OnBatch(e pbft.BatchEvent) { m.onBatch(0, e) }
-
-func (m *Metrics) onBatch(g int, e pbft.BatchEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gs := m.group(g)
-	gs.batches++
-	gs.requests += uint64(e.Requests)
-	gs.batchSize.observe(float64(e.Requests))
-	if e.Tentative {
-		gs.tentativeBatches++
-	}
-}
-
-// OnCommit implements pbft.Tracer.
-func (m *Metrics) OnCommit(e pbft.CommitEvent) { m.onCommit(0, e) }
-
-func (m *Metrics) onCommit(g int, e pbft.CommitEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.group(g).commits++
-}
-
-// OnClientSession implements pbft.Tracer.
-func (m *Metrics) OnClientSession(e pbft.ClientSessionEvent) { m.onClientSession(0, e) }
-
-func (m *Metrics) onClientSession(g int, e pbft.ClientSessionEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gs := m.group(g)
-	switch e.Kind {
-	case pbft.SessionHello:
-		gs.sessionHellos++
-	case pbft.SessionJoin:
-		gs.joins++
-	case pbft.SessionLeave:
-		gs.leaves++
-	case pbft.SessionEvict:
-		gs.evictions++
+	case pbft.EvCheckpoint:
+		c.Checkpoints++
+	case pbft.EvCheckpointStable:
+		c.StableCheckpoints++
+	case pbft.EvStateTransferStart:
+		c.StateTransfersStarted++
+	case pbft.EvStateTransferFinish:
+		c.StateTransfersCompleted++
+	case pbft.EvStateTransferAbort:
+		c.StateTransfersAborted++
+	case pbft.EvBatch:
+		c.Batches++
+		c.Requests += ev.Count
+		gs.batchSize.observe(float64(ev.Count))
+		if ev.Tentative {
+			c.TentativeBatches++
+		}
+	case pbft.EvCommit:
+		c.Commits++
+	case pbft.EvSessionHello:
+		c.SessionHellos++
+	case pbft.EvSessionJoin:
+		c.Joins++
+	case pbft.EvSessionLeave:
+		c.Leaves++
+	case pbft.EvSessionEvict:
+		c.Evictions++
 	}
 }
 
@@ -394,23 +337,8 @@ type GroupView struct {
 // ID returns the group id this view records into.
 func (v *GroupView) ID() int { return v.g }
 
-// OnViewChange implements pbft.Tracer for the view's group.
-func (v *GroupView) OnViewChange(e pbft.ViewChangeEvent) { v.m.onViewChange(v.g, e) }
-
-// OnCheckpoint implements pbft.Tracer for the view's group.
-func (v *GroupView) OnCheckpoint(e pbft.CheckpointEvent) { v.m.onCheckpoint(v.g, e) }
-
-// OnStateTransfer implements pbft.Tracer for the view's group.
-func (v *GroupView) OnStateTransfer(e pbft.StateTransferEvent) { v.m.onStateTransfer(v.g, e) }
-
-// OnBatch implements pbft.Tracer for the view's group.
-func (v *GroupView) OnBatch(e pbft.BatchEvent) { v.m.onBatch(v.g, e) }
-
-// OnCommit implements pbft.Tracer for the view's group.
-func (v *GroupView) OnCommit(e pbft.CommitEvent) { v.m.onCommit(v.g, e) }
-
-// OnClientSession implements pbft.Tracer for the view's group.
-func (v *GroupView) OnClientSession(e pbft.ClientSessionEvent) { v.m.onClientSession(v.g, e) }
+// OnEvent implements pbft.Tracer for the view's group.
+func (v *GroupView) OnEvent(ev pbft.Event) { v.m.record(v.g, ev) }
 
 // ObservePhase records one phase segment into the view's group
 // (pbft.PhaseSink).
@@ -472,26 +400,11 @@ func (gs *groupState) snapshotLocked() Snapshot {
 			phases[k.phase.String()] = phases[k.phase.String()].merge(h.snapshot())
 		}
 	}
-	return Snapshot{
-		Commits:                 gs.commits,
-		Batches:                 gs.batches,
-		Requests:                gs.requests,
-		TentativeBatches:        gs.tentativeBatches,
-		ViewChangesStarted:      gs.vcStarted,
-		ViewChangesInstalled:    gs.vcInstalled,
-		Checkpoints:             gs.checkpoints,
-		StableCheckpoints:       gs.stableCheckpoints,
-		StateTransfersStarted:   gs.transfersStarted,
-		StateTransfersCompleted: gs.transfersCompleted,
-		StateTransfersAborted:   gs.transfersAborted,
-		SessionHellos:           gs.sessionHellos,
-		Joins:                   gs.joins,
-		Leaves:                  gs.leaves,
-		Evictions:               gs.evictions,
-		BatchSize:               gs.batchSize.snapshot(),
-		ViewChangeDuration:      gs.vcDuration.snapshot(),
-		Phases:                  phases,
-	}
+	out := gs.counts
+	out.BatchSize = gs.batchSize.snapshot()
+	out.ViewChangeDuration = gs.vcDuration.snapshot()
+	out.Phases = phases
+	return out
 }
 
 // Snapshot returns a consistent copy of the aggregates, summed across
@@ -528,25 +441,26 @@ func (m *Metrics) GroupIDs() []int {
 	return m.groupIDs()
 }
 
+// counters lists the snapshot's plain counter fields, so the cross-group
+// sum and the window delta walk one list.
+func (s *Snapshot) counters() []*uint64 {
+	return []*uint64{
+		&s.Commits, &s.Batches, &s.Requests, &s.TentativeBatches,
+		&s.ViewChangesStarted, &s.ViewChangesInstalled,
+		&s.Checkpoints, &s.StableCheckpoints,
+		&s.StateTransfersStarted, &s.StateTransfersCompleted, &s.StateTransfersAborted,
+		&s.SessionHellos, &s.Joins, &s.Leaves, &s.Evictions,
+	}
+}
+
 // add sums another snapshot into this one (fresh maps, no aliasing) —
 // the cross-group fold behind the aggregate Snapshot.
 func (s Snapshot) add(o Snapshot) Snapshot {
 	out := s
-	out.Commits += o.Commits
-	out.Batches += o.Batches
-	out.Requests += o.Requests
-	out.TentativeBatches += o.TentativeBatches
-	out.ViewChangesStarted += o.ViewChangesStarted
-	out.ViewChangesInstalled += o.ViewChangesInstalled
-	out.Checkpoints += o.Checkpoints
-	out.StableCheckpoints += o.StableCheckpoints
-	out.StateTransfersStarted += o.StateTransfersStarted
-	out.StateTransfersCompleted += o.StateTransfersCompleted
-	out.StateTransfersAborted += o.StateTransfersAborted
-	out.SessionHellos += o.SessionHellos
-	out.Joins += o.Joins
-	out.Leaves += o.Leaves
-	out.Evictions += o.Evictions
+	oc := o.counters()
+	for i, c := range out.counters() {
+		*c += *oc[i]
+	}
 	out.BatchSize = s.BatchSize.merge(o.BatchSize)
 	out.ViewChangeDuration = s.ViewChangeDuration.merge(o.ViewChangeDuration)
 	if len(s.Phases) > 0 || len(o.Phases) > 0 {
@@ -565,21 +479,10 @@ func (s Snapshot) add(o Snapshot) Snapshot {
 // monotone, so the difference is a valid window measurement).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	out := s
-	out.Commits -= prev.Commits
-	out.Batches -= prev.Batches
-	out.Requests -= prev.Requests
-	out.TentativeBatches -= prev.TentativeBatches
-	out.ViewChangesStarted -= prev.ViewChangesStarted
-	out.ViewChangesInstalled -= prev.ViewChangesInstalled
-	out.Checkpoints -= prev.Checkpoints
-	out.StableCheckpoints -= prev.StableCheckpoints
-	out.StateTransfersStarted -= prev.StateTransfersStarted
-	out.StateTransfersCompleted -= prev.StateTransfersCompleted
-	out.StateTransfersAborted -= prev.StateTransfersAborted
-	out.SessionHellos -= prev.SessionHellos
-	out.Joins -= prev.Joins
-	out.Leaves -= prev.Leaves
-	out.Evictions -= prev.Evictions
+	pc := prev.counters()
+	for i, c := range out.counters() {
+		*c -= *pc[i]
+	}
 	out.BatchSize = s.BatchSize.sub(prev.BatchSize)
 	out.ViewChangeDuration = s.ViewChangeDuration.sub(prev.ViewChangeDuration)
 	if len(s.Phases) > 0 {
@@ -716,6 +619,216 @@ func (h HistogramSnapshot) sub(prev HistogramSnapshot) HistogramSnapshot {
 
 // --- HTTP exposition -----------------------------------------------------
 
+// series is one row of an exposition table over sources of type T: a
+// group's Snapshot, a replica's polled ReplicaInfo, a UDP endpoint's
+// BatchStats. Consecutive rows sharing a name form one family — one
+// HELP/TYPE header, then each source's samples in row order.
+type series[T any] struct {
+	name, typ, help string
+	// label is an extra label on this row's samples (the reason of a
+	// pbft_drops_total row).
+	label string
+	// when is the family's render condition, per source; nil renders
+	// every source. A family no source satisfies is omitted, header
+	// included, so a deployment without the feature behind it scrapes
+	// byte-identical to one from before the feature existed.
+	when func(T) bool
+	// value extracts the sample: an int or uint64, a float64 (seconds),
+	// a HistogramSnapshot or an occupancy.
+	value func(T) any
+}
+
+// source is one labeled instance a table is rendered for.
+type source[T any] struct {
+	labels string
+	v      T
+}
+
+// occupancy is a UDP endpoint's datagrams-per-syscall histogram over the
+// fixed BatchStats buckets (1, 2-3, 4-7, 8-15, 16+). The bucket counts
+// are syscalls and the sum is datagrams, so sum/count is the mean batch
+// occupancy, exactly like a latency histogram's mean.
+type occupancy struct {
+	buckets     [5]uint64
+	calls, msgs uint64
+}
+
+// writeSeries is the one loop every exposition table is walked by.
+func writeSeries[T any](w io.Writer, rows []series[T], srcs []source[T]) {
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].name == rows[i].name {
+			j++
+		}
+		family := rows[i:j]
+		i = j
+		header := false
+		for _, src := range srcs {
+			if when := family[0].when; when != nil && !when(src.v) {
+				continue
+			}
+			if !header {
+				header = true
+				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", family[0].name, family[0].help, family[0].name, family[0].typ)
+			}
+			for _, row := range family {
+				writeSample(w, row.name, joinLabels(src.labels, row.label), row.value(src.v))
+			}
+		}
+	}
+}
+
+func writeSample(w io.Writer, name, labels string, v any) {
+	switch v := v.(type) {
+	case HistogramSnapshot:
+		cum := uint64(0)
+		for i, b := range v.Bounds {
+			cum += v.Counts[i]
+			fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace(joinLabels(labels, fmt.Sprintf("le=\"%g\"", b))), cum)
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace(joinLabels(labels, "le=\"+Inf\"")), v.Count)
+		fmt.Fprintf(w, "%s_sum%s %g\n", name, brace(labels), v.Sum)
+		fmt.Fprintf(w, "%s_count%s %d\n", name, brace(labels), v.Count)
+	case occupancy:
+		cum := uint64(0)
+		for i, b := range pbft.BatchOccupancyBounds {
+			cum += v.buckets[i]
+			fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace(joinLabels(labels, fmt.Sprintf("le=\"%d\"", b))), cum)
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace(joinLabels(labels, "le=\"+Inf\"")), v.calls)
+		fmt.Fprintf(w, "%s_sum%s %d\n", name, brace(labels), v.msgs)
+		fmt.Fprintf(w, "%s_count%s %d\n", name, brace(labels), v.calls)
+	case float64:
+		fmt.Fprintf(w, "%s%s %g\n", name, brace(labels), v)
+	default:
+		fmt.Fprintf(w, "%s%s %d\n", name, brace(labels), v)
+	}
+}
+
+// joinLabels joins two label lists, either of which may be empty.
+func joinLabels(a, b string) string {
+	if a == "" || b == "" {
+		return a + b
+	}
+	return a + "," + b
+}
+
+// brace wraps a non-empty label list for a sample line.
+func brace(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
+}
+
+func counter(name, help string, pick func(Snapshot) uint64) series[Snapshot] {
+	return series[Snapshot]{name: name, typ: "counter", help: help, value: func(s Snapshot) any { return pick(s) }}
+}
+
+// groupSeries are the per-group aggregates, unlabeled in a single-group
+// registry and group-labeled otherwise.
+var groupSeries = []series[Snapshot]{
+	counter("pbft_commits_total", "Sequence numbers committed (2f+1 certificates).", func(s Snapshot) uint64 { return s.Commits }),
+	counter("pbft_batches_total", "Agreed batches handed to the execution engine.", func(s Snapshot) uint64 { return s.Batches }),
+	counter("pbft_requests_total", "Requests inside agreed batches.", func(s Snapshot) uint64 { return s.Requests }),
+	counter("pbft_tentative_batches_total", "Batches executed tentatively (after prepare, before commit).", func(s Snapshot) uint64 { return s.TentativeBatches }),
+	counter("pbft_view_changes_started_total", "View changes started (vote broadcast).", func(s Snapshot) uint64 { return s.ViewChangesStarted }),
+	counter("pbft_view_changes_total", "View changes completed (new view installed).", func(s Snapshot) uint64 { return s.ViewChangesInstalled }),
+	counter("pbft_checkpoints_total", "Local checkpoints produced.", func(s Snapshot) uint64 { return s.Checkpoints }),
+	counter("pbft_stable_checkpoints_total", "Checkpoints stabilized by 2f+1 proof.", func(s Snapshot) uint64 { return s.StableCheckpoints }),
+	counter("pbft_state_transfers_started_total", "State transfers started.", func(s Snapshot) uint64 { return s.StateTransfersStarted }),
+	counter("pbft_state_transfers_total", "State transfers completed.", func(s Snapshot) uint64 { return s.StateTransfersCompleted }),
+	counter("pbft_state_transfers_aborted_total", "State transfers aborted.", func(s Snapshot) uint64 { return s.StateTransfersAborted }),
+	counter("pbft_session_hellos_total", "Client MAC sessions (re-)established.", func(s Snapshot) uint64 { return s.SessionHellos }),
+	counter("pbft_joins_total", "Dynamic clients admitted.", func(s Snapshot) uint64 { return s.Joins }),
+	counter("pbft_leaves_total", "Dynamic clients departed.", func(s Snapshot) uint64 { return s.Leaves }),
+	counter("pbft_evictions_total", "Client sessions evicted.", func(s Snapshot) uint64 { return s.Evictions }),
+	{name: "pbft_batch_size", typ: "histogram", help: "Requests per agreed batch.",
+		value: func(s Snapshot) any { return s.BatchSize }},
+	{name: "pbft_view_change_duration_seconds", typ: "histogram", help: "View-change start to new-view install.",
+		value: func(s Snapshot) any { return s.ViewChangeDuration }},
+}
+
+// phaseSeries is pbft_phase_seconds; its sources are the (phase, group,
+// replica) histograms the flight recorders fed.
+var phaseSeries = []series[HistogramSnapshot]{
+	{name: "pbft_phase_seconds", typ: "histogram", help: "Per-request lifecycle phase latency (adjacent stamp points; end_to_end is first to last).",
+		value: func(h HistogramSnapshot) any { return h }},
+}
+
+// transportSeries are the registered UDP endpoints' syscall-batching
+// counters: totals plus the two occupancy histograms.
+var transportSeries = []series[pbft.BatchStats]{
+	{name: "pbft_udp_recv_syscalls_total", typ: "counter", help: "Receive syscalls that returned at least one datagram.",
+		value: func(s pbft.BatchStats) any { return s.RecvCalls }},
+	{name: "pbft_udp_recv_datagrams_total", typ: "counter", help: "Datagrams returned by receive syscalls.",
+		value: func(s pbft.BatchStats) any { return s.RecvMsgs }},
+	{name: "pbft_udp_send_syscalls_total", typ: "counter", help: "Send syscalls issued.",
+		value: func(s pbft.BatchStats) any { return s.SendCalls }},
+	{name: "pbft_udp_send_datagrams_total", typ: "counter", help: "Datagrams moved by send syscalls.",
+		value: func(s pbft.BatchStats) any { return s.SendMsgs }},
+	{name: "pbft_udp_recv_batch_occupancy", typ: "histogram", help: "Datagrams per receive syscall.",
+		value: func(s pbft.BatchStats) any { return occupancy{s.RecvOccupancy, s.RecvCalls, s.RecvMsgs} }},
+	{name: "pbft_udp_send_batch_occupancy", typ: "histogram", help: "Datagrams per send syscall.",
+		value: func(s pbft.BatchStats) any { return occupancy{s.SendOccupancy, s.SendCalls, s.SendMsgs} }},
+}
+
+func durable(i pbft.ReplicaInfo) bool  { return i.Stats.DurableNow }
+func hasImage(i pbft.ReplicaInfo) bool { return i.Stats.ImageNow }
+
+// replicaSeries are the per-replica gauges and counters polled from
+// Replica.Info at scrape time.
+var replicaSeries = []series[pbft.ReplicaInfo]{
+	{name: "pbft_exec_queue_depth", typ: "gauge", help: "Operations inside the execution engine (applies + detached reads).",
+		value: func(i pbft.ReplicaInfo) any { return i.ExecQueueDepth }},
+	{name: "pbft_ingress_backlog", typ: "gauge", help: "Packets verified (or being verified) and not yet consumed by the protocol loop.",
+		value: func(i pbft.ReplicaInfo) any { return i.IngressBacklog }},
+	{name: "pbft_batch_window", typ: "gauge", help: "Batch-size bound for the next pre-prepare (adaptive controller's live window, or the static MaxBatch).",
+		value: func(i pbft.ReplicaInfo) any { return i.BatchWindow }},
+	{name: "pbft_last_exec", typ: "gauge", help: "Last executed sequence number.",
+		value: func(i pbft.ReplicaInfo) any { return i.LastExec }},
+	{name: "pbft_last_stable", typ: "gauge", help: "Last stable checkpoint sequence number.",
+		value: func(i pbft.ReplicaInfo) any { return i.LastStable }},
+	{name: "pbft_view", typ: "gauge", help: "Current view.",
+		value: func(i pbft.ReplicaInfo) any { return i.View }},
+	{name: "pbft_client_sessions", typ: "gauge", help: "Clients currently holding live MAC session keys (bounded by Options.MaxClientSessions).",
+		value: func(i pbft.ReplicaInfo) any { return i.ClientSessions }},
+	// Ingress drop verdicts as typed counters: an active adversary shows
+	// up here (forged MACs under "auth", garbage floods under
+	// "malformed", equivocation under "conflicting_preprepare") without
+	// perturbing the protocol-event counters above.
+	{name: "pbft_auth_failures_total", typ: "counter", help: "Packets rejected for failed MAC/signature authentication.",
+		value: func(i pbft.ReplicaInfo) any { return i.Stats.DroppedBadAuth }},
+	{name: "pbft_drops_total", typ: "counter", help: "Packets dropped before reaching the protocol, by reason.",
+		label: `reason="auth"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.DroppedBadAuth }},
+	{name: "pbft_drops_total", label: `reason="malformed"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.DroppedMalformed }},
+	{name: "pbft_drops_total", label: `reason="ignored"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.DroppedIgnored }},
+	{name: "pbft_drops_total", label: `reason="nondet"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.RejectedNonDet }},
+	{name: "pbft_drops_total", label: `reason="conflicting_preprepare"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.ConflictingPrePrepares }},
+	{name: "pbft_drops_total", label: `reason="forged_join"`, value: func(i pbft.ReplicaInfo) any { return i.Stats.DroppedForgedJoins }},
+	// Durable-replica series render only for replicas running with a
+	// data directory, and disk-image series only for replicas whose
+	// application keeps one.
+	{name: "pbft_restarts_total", typ: "counter", help: "Recoveries from an existing on-disk manifest (0 on first boot).",
+		when: durable, value: func(i pbft.ReplicaInfo) any { return i.Stats.Restarts }},
+	{name: "pbft_recovery_seconds", typ: "gauge", help: "Duration of the last disk recovery (WAL replay + manifest restore) at startup.",
+		when: durable, value: func(i pbft.ReplicaInfo) any { return float64(i.Stats.RecoveryNanos) / 1e9 }},
+	{name: "pbft_wal_fsyncs_total", typ: "counter", help: "WAL commit fsyncs (one per persisted stable checkpoint batch).",
+		when: durable, value: func(i pbft.ReplicaInfo) any { return i.Stats.WALFsyncs }},
+	{name: "pbft_wal_bytes_total", typ: "counter", help: "Bytes appended to the write-ahead log.",
+		when: durable, value: func(i pbft.ReplicaInfo) any { return i.Stats.WALBytes }},
+	{name: "pbft_wal_checkpoints_total", typ: "counter", help: "WAL fold-backs into the base pages file.",
+		when: durable, value: func(i pbft.ReplicaInfo) any { return i.Stats.WALCheckpoints }},
+	{name: "pbft_persist_errors_total", typ: "counter", help: "Failed stable-checkpoint or disk-image persists (the store latches broken; the replica continues in-memory).",
+		when: func(i pbft.ReplicaInfo) bool { return durable(i) || hasImage(i) }, value: func(i pbft.ReplicaInfo) any { return i.Stats.PersistErrors }},
+	{name: "pbft_image_flushes_total", typ: "counter", help: "Execution-span flush points persisted to the application's disk image (one journal + image fsync pair each).",
+		when: hasImage, value: func(i pbft.ReplicaInfo) any { return i.Stats.ImageFlushes }},
+	{name: "pbft_image_flush_pages_total", typ: "counter", help: "Pages written to the disk image by span flushes.",
+		when: hasImage, value: func(i pbft.ReplicaInfo) any { return i.Stats.ImageFlushPages }},
+	{name: "pbft_image_flush_seconds", typ: "counter", help: "Cumulative time span flushes took; a span's replies wait for its flush between the exec_done and reply_sealed phases.",
+		when: hasImage, value: func(i pbft.ReplicaInfo) any { return float64(i.Stats.ImageFlushNanos) / 1e9 }},
+}
+
 // WritePrometheus renders every aggregate — and one gauge set per
 // registered replica — in the Prometheus text exposition format. A
 // registry with only group 0 renders the classic unlabeled (and
@@ -726,236 +839,64 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	ids := m.groupIDs()
 	multi := len(ids) > 1
-	snaps := make(map[int]Snapshot, len(ids))
+	groups := make([]source[Snapshot], 0, len(ids))
 	for _, g := range ids {
-		snaps[g] = m.groups[g].snapshotLocked()
+		groups = append(groups, source[Snapshot]{groupLabel(multi, g), m.groups[g].snapshotLocked()})
+	}
+	// One pbft_phase_seconds histogram per (phase, group, replica), in
+	// that order so scrapes are deterministic.
+	type groupPhase struct {
+		group int
+		phaseKey
+	}
+	var keys []groupPhase
+	for _, g := range ids {
+		for k := range m.groups[g].phases {
+			keys = append(keys, groupPhase{g, k})
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.phase != b.phase {
+			return a.phase < b.phase
+		}
+		if a.group != b.group {
+			return a.group < b.group
+		}
+		return a.replica < b.replica
+	})
+	phases := make([]source[HistogramSnapshot], 0, len(keys))
+	for _, k := range keys {
+		labels := joinLabels(groupLabel(multi, k.group), fmt.Sprintf("phase=%q,replica=\"%d\"", k.phase.String(), k.replica))
+		phases = append(phases, source[HistogramSnapshot]{labels, m.groups[k.group].phases[k.phaseKey].snapshot()})
 	}
 	m.mu.Unlock()
 
-	counters := []struct {
-		name, help string
-		pick       func(Snapshot) uint64
-	}{
-		{"pbft_commits_total", "Sequence numbers committed (2f+1 certificates).", func(s Snapshot) uint64 { return s.Commits }},
-		{"pbft_batches_total", "Agreed batches handed to the execution engine.", func(s Snapshot) uint64 { return s.Batches }},
-		{"pbft_requests_total", "Requests inside agreed batches.", func(s Snapshot) uint64 { return s.Requests }},
-		{"pbft_tentative_batches_total", "Batches executed tentatively (after prepare, before commit).", func(s Snapshot) uint64 { return s.TentativeBatches }},
-		{"pbft_view_changes_started_total", "View changes started (vote broadcast).", func(s Snapshot) uint64 { return s.ViewChangesStarted }},
-		{"pbft_view_changes_total", "View changes completed (new view installed).", func(s Snapshot) uint64 { return s.ViewChangesInstalled }},
-		{"pbft_checkpoints_total", "Local checkpoints produced.", func(s Snapshot) uint64 { return s.Checkpoints }},
-		{"pbft_stable_checkpoints_total", "Checkpoints stabilized by 2f+1 proof.", func(s Snapshot) uint64 { return s.StableCheckpoints }},
-		{"pbft_state_transfers_started_total", "State transfers started.", func(s Snapshot) uint64 { return s.StateTransfersStarted }},
-		{"pbft_state_transfers_total", "State transfers completed.", func(s Snapshot) uint64 { return s.StateTransfersCompleted }},
-		{"pbft_state_transfers_aborted_total", "State transfers aborted.", func(s Snapshot) uint64 { return s.StateTransfersAborted }},
-		{"pbft_session_hellos_total", "Client MAC sessions (re-)established.", func(s Snapshot) uint64 { return s.SessionHellos }},
-		{"pbft_joins_total", "Dynamic clients admitted.", func(s Snapshot) uint64 { return s.Joins }},
-		{"pbft_leaves_total", "Dynamic clients departed.", func(s Snapshot) uint64 { return s.Leaves }},
-		{"pbft_evictions_total", "Client sessions evicted.", func(s Snapshot) uint64 { return s.Evictions }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-		if multi {
-			for _, g := range ids {
-				fmt.Fprintf(w, "%s{group=\"%d\"} %d\n", c.name, g, c.pick(snaps[g]))
-			}
-		} else {
-			fmt.Fprintf(w, "%s %d\n", c.name, c.pick(snaps[ids[0]]))
-		}
-	}
-	for _, hist := range []struct {
-		name, help string
-		pick       func(Snapshot) HistogramSnapshot
-	}{
-		{"pbft_batch_size", "Requests per agreed batch.", func(s Snapshot) HistogramSnapshot { return s.BatchSize }},
-		{"pbft_view_change_duration_seconds", "View-change start to new-view install.", func(s Snapshot) HistogramSnapshot { return s.ViewChangeDuration }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", hist.name, hist.help, hist.name)
-		if multi {
-			for _, g := range ids {
-				writeHistogramSeries(w, hist.name, fmt.Sprintf("group=\"%d\"", g), hist.pick(snaps[g]))
-			}
-		} else {
-			writeHistogramSeries(w, hist.name, "", hist.pick(snaps[ids[0]]))
-		}
-	}
-	m.writePhases(w, multi)
+	writeSeries(w, groupSeries, groups)
+	writeSeries(w, phaseSeries, phases)
+	m.WriteUDPStats(w)
 
 	m.infoMu.Lock()
 	infos := append([]*replicaInfoSource(nil), m.infos...)
-	transports := append([]transportSource(nil), m.transports...)
 	m.infoMu.Unlock()
-	writeTransports(w, transports, multi)
-	if len(infos) == 0 {
-		return
-	}
-	type gaugeRow struct {
-		labels string
-		info   pbft.ReplicaInfo
-	}
-	rows := make([]gaugeRow, 0, len(infos))
+	replicas := make([]source[pbft.ReplicaInfo], 0, len(infos))
 	for _, src := range infos {
-		labels := fmt.Sprintf("replica=\"%d\"", src.id)
-		if multi {
-			labels = fmt.Sprintf("group=\"%d\",replica=\"%d\"", src.group, src.id)
-		}
-		rows = append(rows, gaugeRow{labels: labels, info: src.poll(gaugePollTimeout)})
+		replicas = append(replicas, source[pbft.ReplicaInfo]{replicaLabel(multi, src.group, src.id), src.poll(gaugePollTimeout)})
 	}
-	fmt.Fprintf(w, "# HELP pbft_exec_queue_depth Operations inside the execution engine (applies + detached reads).\n# TYPE pbft_exec_queue_depth gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_exec_queue_depth{%s} %d\n", r.labels, r.info.ExecQueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP pbft_ingress_backlog Packets verified (or being verified) and not yet consumed by the protocol loop.\n# TYPE pbft_ingress_backlog gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_ingress_backlog{%s} %d\n", r.labels, r.info.IngressBacklog)
-	}
-	fmt.Fprintf(w, "# HELP pbft_batch_window Batch-size bound for the next pre-prepare (adaptive controller's live window, or the static MaxBatch).\n# TYPE pbft_batch_window gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_batch_window{%s} %d\n", r.labels, r.info.BatchWindow)
-	}
-	fmt.Fprintf(w, "# HELP pbft_last_exec Last executed sequence number.\n# TYPE pbft_last_exec gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_last_exec{%s} %d\n", r.labels, r.info.LastExec)
-	}
-	fmt.Fprintf(w, "# HELP pbft_last_stable Last stable checkpoint sequence number.\n# TYPE pbft_last_stable gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_last_stable{%s} %d\n", r.labels, r.info.LastStable)
-	}
-	fmt.Fprintf(w, "# HELP pbft_view Current view.\n# TYPE pbft_view gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_view{%s} %d\n", r.labels, r.info.View)
-	}
-	fmt.Fprintf(w, "# HELP pbft_client_sessions Clients currently holding live MAC session keys (bounded by Options.MaxClientSessions).\n# TYPE pbft_client_sessions gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_client_sessions{%s} %d\n", r.labels, r.info.ClientSessions)
-	}
-	// Ingress drop verdicts as typed counters: an active adversary shows
-	// up here (forged MACs under "auth", garbage floods under
-	// "malformed", equivocation under "conflicting_preprepare") without
-	// perturbing the protocol-event counters above.
-	fmt.Fprintf(w, "# HELP pbft_auth_failures_total Packets rejected for failed MAC/signature authentication.\n# TYPE pbft_auth_failures_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_auth_failures_total{%s} %d\n", r.labels, r.info.Stats.DroppedBadAuth)
-	}
-	fmt.Fprintf(w, "# HELP pbft_drops_total Packets dropped before reaching the protocol, by reason.\n# TYPE pbft_drops_total counter\n")
-	for _, r := range rows {
-		st := r.info.Stats
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"auth\"} %d\n", r.labels, st.DroppedBadAuth)
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"malformed\"} %d\n", r.labels, st.DroppedMalformed)
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"ignored\"} %d\n", r.labels, st.DroppedIgnored)
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"nondet\"} %d\n", r.labels, st.RejectedNonDet)
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"conflicting_preprepare\"} %d\n", r.labels, st.ConflictingPrePrepares)
-		fmt.Fprintf(w, "pbft_drops_total{%s,reason=\"forged_join\"} %d\n", r.labels, st.DroppedForgedJoins)
-	}
-
-	// Durable-replica series render only for replicas running with a
-	// data directory, and disk-image series only for replicas whose
-	// application keeps one, so a deployment without either scrapes
-	// byte-identical to one from before they existed.
-	durable, image, persisting := rows[:0:0], rows[:0:0], rows[:0:0]
-	for _, r := range rows {
-		if r.info.Stats.DurableNow {
-			durable = append(durable, r)
-		}
-		if r.info.Stats.ImageNow {
-			image = append(image, r)
-		}
-		if r.info.Stats.DurableNow || r.info.Stats.ImageNow {
-			persisting = append(persisting, r)
-		}
-	}
-	if len(durable) > 0 {
-		fmt.Fprintf(w, "# HELP pbft_restarts_total Recoveries from an existing on-disk manifest (0 on first boot).\n# TYPE pbft_restarts_total counter\n")
-		for _, r := range durable {
-			fmt.Fprintf(w, "pbft_restarts_total{%s} %d\n", r.labels, r.info.Stats.Restarts)
-		}
-		fmt.Fprintf(w, "# HELP pbft_recovery_seconds Duration of the last disk recovery (WAL replay + manifest restore) at startup.\n# TYPE pbft_recovery_seconds gauge\n")
-		for _, r := range durable {
-			fmt.Fprintf(w, "pbft_recovery_seconds{%s} %g\n", r.labels, float64(r.info.Stats.RecoveryNanos)/1e9)
-		}
-		fmt.Fprintf(w, "# HELP pbft_wal_fsyncs_total WAL commit fsyncs (one per persisted stable checkpoint batch).\n# TYPE pbft_wal_fsyncs_total counter\n")
-		for _, r := range durable {
-			fmt.Fprintf(w, "pbft_wal_fsyncs_total{%s} %d\n", r.labels, r.info.Stats.WALFsyncs)
-		}
-		fmt.Fprintf(w, "# HELP pbft_wal_bytes_total Bytes appended to the write-ahead log.\n# TYPE pbft_wal_bytes_total counter\n")
-		for _, r := range durable {
-			fmt.Fprintf(w, "pbft_wal_bytes_total{%s} %d\n", r.labels, r.info.Stats.WALBytes)
-		}
-		fmt.Fprintf(w, "# HELP pbft_wal_checkpoints_total WAL fold-backs into the base pages file.\n# TYPE pbft_wal_checkpoints_total counter\n")
-		for _, r := range durable {
-			fmt.Fprintf(w, "pbft_wal_checkpoints_total{%s} %d\n", r.labels, r.info.Stats.WALCheckpoints)
-		}
-	}
-	if len(persisting) > 0 {
-		fmt.Fprintf(w, "# HELP pbft_persist_errors_total Failed stable-checkpoint or disk-image persists (the store latches broken; the replica continues in-memory).\n# TYPE pbft_persist_errors_total counter\n")
-		for _, r := range persisting {
-			fmt.Fprintf(w, "pbft_persist_errors_total{%s} %d\n", r.labels, r.info.Stats.PersistErrors)
-		}
-	}
-	if len(image) > 0 {
-		fmt.Fprintf(w, "# HELP pbft_image_flushes_total Execution-span flush points persisted to the application's disk image (one journal + image fsync pair each).\n# TYPE pbft_image_flushes_total counter\n")
-		for _, r := range image {
-			fmt.Fprintf(w, "pbft_image_flushes_total{%s} %d\n", r.labels, r.info.Stats.ImageFlushes)
-		}
-		fmt.Fprintf(w, "# HELP pbft_image_flush_pages_total Pages written to the disk image by span flushes.\n# TYPE pbft_image_flush_pages_total counter\n")
-		for _, r := range image {
-			fmt.Fprintf(w, "pbft_image_flush_pages_total{%s} %d\n", r.labels, r.info.Stats.ImageFlushPages)
-		}
-		fmt.Fprintf(w, "# HELP pbft_image_flush_seconds Cumulative time span flushes took; a span's replies wait for its flush between the exec_done and reply_sealed phases.\n# TYPE pbft_image_flush_seconds counter\n")
-		for _, r := range image {
-			fmt.Fprintf(w, "pbft_image_flush_seconds{%s} %g\n", r.labels, float64(r.info.Stats.ImageFlushNanos)/1e9)
-		}
-	}
+	writeSeries(w, replicaSeries, replicas)
 }
 
-// writePhases renders pbft_phase_seconds: one histogram per
-// (phase, group, replica) tuple fed by the flight recorders, in
-// pipeline-phase, group, then replica order so scrapes are
-// deterministic. The group label appears only in multi-group
+// groupLabel is the group dimension: present only in multi-group
 // registries.
-func (m *Metrics) writePhases(w io.Writer, multi bool) {
-	type groupPhaseKey struct {
-		group int
-		k     phaseKey
+func groupLabel(multi bool, g int) string {
+	if !multi {
+		return ""
 	}
-	m.mu.Lock()
-	var keys []groupPhaseKey
-	snaps := make(map[groupPhaseKey]HistogramSnapshot)
-	for _, g := range m.groupIDs() {
-		for k, h := range m.groups[g].phases {
-			gk := groupPhaseKey{group: g, k: k}
-			keys = append(keys, gk)
-			snaps[gk] = h.snapshot()
-		}
-	}
-	m.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].k.phase != keys[j].k.phase {
-			return keys[i].k.phase < keys[j].k.phase
-		}
-		if keys[i].group != keys[j].group {
-			return keys[i].group < keys[j].group
-		}
-		return keys[i].k.replica < keys[j].k.replica
-	})
-	fmt.Fprintf(w, "# HELP pbft_phase_seconds Per-request lifecycle phase latency (adjacent stamp points; end_to_end is first to last).\n# TYPE pbft_phase_seconds histogram\n")
-	for _, gk := range keys {
-		h := snaps[gk]
-		labels := fmt.Sprintf("phase=%q,replica=\"%d\"", gk.k.phase.String(), gk.k.replica)
-		if multi {
-			labels = fmt.Sprintf("group=\"%d\",%s", gk.group, labels)
-		}
-		cum := uint64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(w, "pbft_phase_seconds_bucket{%s,le=\"%g\"} %d\n", labels, b, cum)
-		}
-		fmt.Fprintf(w, "pbft_phase_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, h.Count)
-		fmt.Fprintf(w, "pbft_phase_seconds_sum{%s} %g\n", labels, h.Sum)
-		fmt.Fprintf(w, "pbft_phase_seconds_count{%s} %d\n", labels, h.Count)
-	}
+	return fmt.Sprintf("group=\"%d\"", g)
+}
+
+func replicaLabel(multi bool, g int, id uint32) string {
+	return joinLabels(groupLabel(multi, g), fmt.Sprintf("replica=\"%d\"", id))
 }
 
 // WriteUDPStats renders only the pbft_udp_* transport series. Front-ends
@@ -969,104 +910,11 @@ func (m *Metrics) WriteUDPStats(w io.Writer) {
 	m.infoMu.Lock()
 	transports := append([]transportSource(nil), m.transports...)
 	m.infoMu.Unlock()
-	writeTransports(w, transports, multi)
-}
-
-// writeTransports renders the registered UDP endpoints' syscall-batching
-// counters: totals plus occupancy histograms over the fixed BatchStats
-// buckets (1, 2-3, 4-7, 8-15, 16+ datagrams per syscall).
-func writeTransports(w io.Writer, transports []transportSource, multi bool) {
-	if len(transports) == 0 {
-		return
+	srcs := make([]source[pbft.BatchStats], 0, len(transports))
+	for _, t := range transports {
+		srcs = append(srcs, source[pbft.BatchStats]{replicaLabel(multi, t.group, t.id), t.stats()})
 	}
-	rows := make([]transportRow, 0, len(transports))
-	for _, src := range transports {
-		labels := fmt.Sprintf("replica=\"%d\"", src.id)
-		if multi {
-			labels = fmt.Sprintf("group=\"%d\",replica=\"%d\"", src.group, src.id)
-		}
-		rows = append(rows, transportRow{labels: labels, s: src.stats()})
-	}
-	fmt.Fprintf(w, "# HELP pbft_udp_recv_syscalls_total Receive syscalls that returned at least one datagram.\n# TYPE pbft_udp_recv_syscalls_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_udp_recv_syscalls_total{%s} %d\n", r.labels, r.s.RecvCalls)
-	}
-	fmt.Fprintf(w, "# HELP pbft_udp_recv_datagrams_total Datagrams returned by receive syscalls.\n# TYPE pbft_udp_recv_datagrams_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_udp_recv_datagrams_total{%s} %d\n", r.labels, r.s.RecvMsgs)
-	}
-	fmt.Fprintf(w, "# HELP pbft_udp_send_syscalls_total Send syscalls issued.\n# TYPE pbft_udp_send_syscalls_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_udp_send_syscalls_total{%s} %d\n", r.labels, r.s.SendCalls)
-	}
-	fmt.Fprintf(w, "# HELP pbft_udp_send_datagrams_total Datagrams moved by send syscalls.\n# TYPE pbft_udp_send_datagrams_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "pbft_udp_send_datagrams_total{%s} %d\n", r.labels, r.s.SendMsgs)
-	}
-	writeOccupancy(w, "pbft_udp_recv_batch_occupancy", "Datagrams per receive syscall.", rows,
-		func(s pbft.BatchStats) ([5]uint64, uint64, uint64) { return s.RecvOccupancy, s.RecvCalls, s.RecvMsgs })
-	writeOccupancy(w, "pbft_udp_send_batch_occupancy", "Datagrams per send syscall.", rows,
-		func(s pbft.BatchStats) ([5]uint64, uint64, uint64) { return s.SendOccupancy, s.SendCalls, s.SendMsgs })
-}
-
-// transportRow is one endpoint's counter snapshot at scrape time.
-type transportRow struct {
-	labels string
-	s      pbft.BatchStats
-}
-
-// writeOccupancy renders one occupancy histogram per endpoint. The bucket
-// counts are syscalls, the sum is datagrams — so sum/count is the mean
-// batch occupancy, exactly like a latency histogram's mean.
-func writeOccupancy(w io.Writer, name, help string, rows []transportRow, pick func(pbft.BatchStats) ([5]uint64, uint64, uint64)) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, r := range rows {
-		occ, calls, msgs := pick(r.s)
-		cum := uint64(0)
-		for i, b := range pbft.BatchOccupancyBounds {
-			cum += occ[i]
-			fmt.Fprintf(w, "%s_bucket{%s,le=\"%d\"} %d\n", name, r.labels, b, cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, r.labels, calls)
-		fmt.Fprintf(w, "%s_sum{%s} %d\n", name, r.labels, msgs)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, r.labels, calls)
-	}
-}
-
-func writeCounter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func writeHistogram(w io.Writer, name, help string, h HistogramSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	writeHistogramSeries(w, name, "", h)
-}
-
-// writeHistogramSeries renders one histogram's bucket/sum/count lines,
-// with optional extra labels (the multi-group group dimension). HELP and
-// TYPE headers are the caller's responsibility so several labeled series
-// can share one metric family.
-func writeHistogramSeries(w io.Writer, name, labels string, h HistogramSnapshot) {
-	brace := func(extra string) string {
-		switch {
-		case labels == "" && extra == "":
-			return ""
-		case labels == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + labels + "}"
-		default:
-			return "{" + labels + "," + extra + "}"
-		}
-	}
-	cum := uint64(0)
-	for i, b := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace(fmt.Sprintf("le=\"%g\"", b)), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, brace("le=\"+Inf\""), h.Count)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, brace(""), h.Sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, brace(""), h.Count)
+	writeSeries(w, transportSeries, srcs)
 }
 
 // Handler serves the /metrics content.

@@ -16,15 +16,15 @@ import (
 
 func TestCountersAndSnapshotDelta(t *testing.T) {
 	m := New()
-	m.OnBatch(pbft.BatchEvent{Replica: 0, Seq: 1, Requests: 3, Tentative: true})
-	m.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 1})
-	m.OnViewChange(pbft.ViewChangeEvent{Replica: 1, Phase: pbft.ViewChangeStart, Target: 1})
-	m.OnViewChange(pbft.ViewChangeEvent{Replica: 1, Phase: pbft.ViewChangeInstall, View: 1})
-	m.OnCheckpoint(pbft.CheckpointEvent{Replica: 0, Seq: 8})
-	m.OnCheckpoint(pbft.CheckpointEvent{Replica: 0, Seq: 8, Stable: true})
-	m.OnStateTransfer(pbft.StateTransferEvent{Replica: 2, Phase: pbft.StateTransferStart, Seq: 8})
-	m.OnStateTransfer(pbft.StateTransferEvent{Replica: 2, Phase: pbft.StateTransferFinish, Seq: 8})
-	m.OnClientSession(pbft.ClientSessionEvent{Replica: 0, ClientID: 9, Kind: pbft.SessionHello})
+	m.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 3, Tentative: true})
+	m.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
+	m.OnEvent(pbft.Event{Kind: pbft.EvViewChangeStart, Replica: 1, Target: 1})
+	m.OnEvent(pbft.Event{Kind: pbft.EvViewChangeInstall, Replica: 1, View: 1})
+	m.OnEvent(pbft.Event{Kind: pbft.EvCheckpoint, Replica: 0, Seq: 8})
+	m.OnEvent(pbft.Event{Kind: pbft.EvCheckpointStable, Replica: 0, Seq: 8})
+	m.OnEvent(pbft.Event{Kind: pbft.EvStateTransferStart, Replica: 2, Seq: 8})
+	m.OnEvent(pbft.Event{Kind: pbft.EvStateTransferFinish, Replica: 2, Seq: 8})
+	m.OnEvent(pbft.Event{Kind: pbft.EvSessionHello, Replica: 0, ClientID: 9})
 
 	s := m.Snapshot()
 	if s.Commits != 1 || s.Batches != 1 || s.Requests != 3 || s.TentativeBatches != 1 {
@@ -61,7 +61,7 @@ func TestCountersAndSnapshotDelta(t *testing.T) {
 
 	// Windowed delta: only what happened after `before`.
 	before := m.Snapshot()
-	m.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 2})
+	m.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 2})
 	delta := m.Snapshot().Sub(before)
 	if delta.Commits != 1 || delta.Batches != 0 {
 		t.Fatalf("delta = %+v, want exactly one new commit", delta)
@@ -73,7 +73,7 @@ func TestCountersAndSnapshotDelta(t *testing.T) {
 
 func TestPrometheusExpositionAndHealthz(t *testing.T) {
 	m := New()
-	m.OnBatch(pbft.BatchEvent{Replica: 0, Seq: 1, Requests: 2})
+	m.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 2})
 	m.AddReplica(0, func() pbft.ReplicaInfo {
 		info := pbft.ReplicaInfo{View: 3, LastExec: 17, LastStable: 16, ExecQueueDepth: 5, IngressBacklog: 7}
 		info.Stats.DroppedBadAuth = 11
@@ -344,11 +344,11 @@ func TestGroupViewsSplitCountersAndSnapshots(t *testing.T) {
 	m := New()
 	g0 := m.Group(0)
 	g1 := m.Group(1)
-	g0.OnBatch(pbft.BatchEvent{Replica: 0, Seq: 1, Requests: 2})
-	g0.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 1})
-	g1.OnBatch(pbft.BatchEvent{Replica: 0, Seq: 1, Requests: 3})
-	g1.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 1})
-	g1.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 2})
+	g0.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 2})
+	g0.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 3})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 2})
 	g1.ObservePhase(0, pbft.PhaseEndToEnd, 5*time.Millisecond)
 
 	if ids := m.GroupIDs(); len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
@@ -383,11 +383,11 @@ func TestGroupViewsSplitCountersAndSnapshots(t *testing.T) {
 
 func TestGroupLabeledExposition(t *testing.T) {
 	m := New()
-	m.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 1}) // registry itself = group 0
+	m.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1}) // registry itself = group 0
 	g1 := m.Group(1)
-	g1.OnCommit(pbft.CommitEvent{Replica: 0, Seq: 1})
-	g1.OnCommit(pbft.CommitEvent{Replica: 1, Seq: 1})
-	g1.OnBatch(pbft.BatchEvent{Replica: 0, Seq: 1, Requests: 4})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 1, Seq: 1})
+	g1.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 4})
 	g1.ObservePhase(2, pbft.PhaseCommitQuorum, time.Millisecond)
 	m.AddReplica(0, func() pbft.ReplicaInfo { return pbft.ReplicaInfo{LastExec: 9} })
 	g1.AddReplica(0, func() pbft.ReplicaInfo { return pbft.ReplicaInfo{LastExec: 4} })

@@ -19,7 +19,7 @@
 // engine is reaped, and pending replies are flushed before the
 // connection closes, so requests the group committed still get answers.
 // Shutdown is idempotent and safe in every state; Run after Shutdown
-// returns ErrStopped. (Start/Stop remain as deprecated wrappers.)
+// returns ErrStopped.
 //
 //	rep, _ := pbft.NewReplica(cfg, id, kp, conn, app)
 //	go rep.Run(ctx)
@@ -27,15 +27,24 @@
 //	_ = rep.Shutdown(shutdownCtx)
 //
 // Protocol progress is observable two ways: Replica.Info returns a
-// polled snapshot (now including the execution-engine queue depth and
-// the ingress verify backlog), and Options.WithTracer installs a typed
-// event Tracer — OnViewChange, OnCheckpoint, OnStateTransfer, OnBatch,
-// OnCommit, OnClientSession — fired from the protocol loop with zero
-// hot-loop cost when no tracer is installed. Package pbft/metrics is the
-// batteries-included Tracer: an aggregating registry with counters and
-// latency histograms served over HTTP (/metrics, /healthz). See
-// ARCHITECTURE.md ("Observability") for the event taxonomy and the
-// blocking rules tracer hooks must obey.
+// polled snapshot (including the execution-engine queue depth and the
+// ingress verify backlog), and Options.Tracer installs a Tracer whose
+// one method, OnEvent, receives every protocol Event — one flat struct
+// tagged by an EventKind (view change start/install, checkpoint taken/
+// stable, state transfer start/finish/abort, batch, commit, client
+// session hello/join/leave/evict) — from the protocol loop, at zero
+// hot-loop cost when no tracer is installed:
+//
+//	func (t *myTracer) OnEvent(ev pbft.Event) {
+//		if ev.Kind == pbft.EvViewChangeInstall {
+//			t.installs.Add(1) // must not block or call back into the replica
+//		}
+//	}
+//
+// Package pbft/metrics is the batteries-included Tracer: an aggregating
+// registry with counters and latency histograms served over HTTP
+// (/metrics, /healthz). See ARCHITECTURE.md ("Observability") for the
+// kind → fields → sinks table and the blocking rules a tracer must obey.
 //
 // # Clients, concurrency and pipelining
 //
@@ -61,8 +70,8 @@
 //
 // Replicas apply committed operations through a deterministic sharded
 // execution engine. An Application that also implements Sharder declares
-// each operation's conflict keyset; with Options.ExecShards > 1 (e.g.
-// DefaultOptions().WithExecShards(n)) non-conflicting operations apply
+// each operation's conflict keyset; with Options.ExecShards > 1
+// non-conflicting operations apply
 // concurrently on different shard workers while conflicting ones keep
 // commit order, replies are released strictly in sequence order, and
 // checkpoint digests stay byte-identical to serial execution. Read-only
@@ -107,7 +116,7 @@ import (
 type (
 	// Options selects the library configuration (the axes of the
 	// paper's Table 1: UseMACs, AllBig, Batching, DynamicClients).
-	// Options.WithDataDir makes a replica durable: crash-restart then
+	// Options.DataDir makes a replica durable: crash-restart then
 	// recovers from the WAL-backed on-disk state instead of a full
 	// state transfer.
 	Options = core.Options
@@ -120,30 +129,17 @@ type (
 	Replica = core.Replica
 	// ReplicaInfo is a progress snapshot of a replica.
 	ReplicaInfo = core.Info
-	// Tracer receives typed protocol events from a replica (install via
-	// Options.WithTracer). See the core.Tracer blocking rules: hooks run
-	// on the protocol loop and must not block or call back in.
+	// Tracer receives a replica's protocol events through its one
+	// method, OnEvent (install via Options.Tracer). See the core.Tracer
+	// blocking rules: it runs on the protocol loop and must not block
+	// or call back in.
 	Tracer = core.Tracer
-	// NopTracer is an all-empty Tracer to embed in partial tracers.
-	NopTracer = core.NopTracer
-	// ViewChangeEvent reports view-change progress (start/install).
-	ViewChangeEvent = core.ViewChangeEvent
-	// CheckpointEvent reports checkpoint production and stabilization.
-	CheckpointEvent = core.CheckpointEvent
-	// StateTransferEvent reports state-transfer progress.
-	StateTransferEvent = core.StateTransferEvent
-	// BatchEvent reports one agreed batch handed to execution.
-	BatchEvent = core.BatchEvent
-	// CommitEvent reports a sequence number reaching its commit quorum.
-	CommitEvent = core.CommitEvent
-	// ClientSessionEvent reports client session lifecycle.
-	ClientSessionEvent = core.ClientSessionEvent
-	// ViewChangePhase tags ViewChangeEvents (start/install).
-	ViewChangePhase = core.ViewChangePhase
-	// StateTransferPhase tags StateTransferEvents (start/finish/abort).
-	StateTransferPhase = core.StateTransferPhase
-	// ClientSessionKind tags ClientSessionEvents (hello/join/leave/evict).
-	ClientSessionKind = core.ClientSessionKind
+	// Event is one protocol event, flat across kinds: which fields a
+	// kind fills is documented on the EventKind constants.
+	Event = trace.Event
+	// EventKind tags an Event; EventKind.String is the snake_case label
+	// the flight-dump JSON uses.
+	EventKind = trace.EventKind
 	// Client invokes operations against the replicated service. It is
 	// safe for concurrent use and pipelines up to WithPipelineDepth
 	// requests.
@@ -196,7 +192,7 @@ type (
 	// phase stamps keyed by (client, timestamp) flow into a lock-free
 	// ring of completed timelines, a protocol-event ring and a
 	// rolling-quantile slow-request log. Install on a replica with
-	// Options.WithRecorder and on a client with WithClientRecorder; dump
+	// Options.Recorder and on a client with WithClientRecorder; dump
 	// with Replica.FlightDump or the /debug/flight endpoint
 	// (metrics.Mux + Metrics.AddFlight).
 	FlightRecorder = trace.Recorder
@@ -220,17 +216,21 @@ type (
 // BatchStats occupancy buckets (the fifth is unbounded).
 var BatchOccupancyBounds = transport.BatchOccupancyBounds
 
-// Tracer event phase and kind values, re-exported for switch statements.
+// Event kinds a Tracer receives, re-exported for switch statements.
 const (
-	ViewChangeStart     = core.ViewChangeStart
-	ViewChangeInstall   = core.ViewChangeInstall
-	StateTransferStart  = core.StateTransferStart
-	StateTransferFinish = core.StateTransferFinish
-	StateTransferAbort  = core.StateTransferAbort
-	SessionHello        = core.SessionHello
-	SessionJoin         = core.SessionJoin
-	SessionLeave        = core.SessionLeave
-	SessionEvict        = core.SessionEvict
+	EvViewChangeStart     = trace.EvViewChangeStart
+	EvViewChangeInstall   = trace.EvViewChangeInstall
+	EvCheckpoint          = trace.EvCheckpoint
+	EvCheckpointStable    = trace.EvCheckpointStable
+	EvStateTransferStart  = trace.EvStateTransferStart
+	EvStateTransferFinish = trace.EvStateTransferFinish
+	EvStateTransferAbort  = trace.EvStateTransferAbort
+	EvBatch               = trace.EvBatch
+	EvCommit              = trace.EvCommit
+	EvSessionHello        = trace.EvSessionHello
+	EvSessionJoin         = trace.EvSessionJoin
+	EvSessionLeave        = trace.EvSessionLeave
+	EvSessionEvict        = trace.EvSessionEvict
 )
 
 // Request-lifecycle phases, re-exported for PhaseSink implementations
@@ -258,7 +258,7 @@ const (
 )
 
 // NewFlightRecorder builds a request-lifecycle flight recorder. Install
-// it with Options.WithRecorder (replica side) or WithClientRecorder
+// it with Options.Recorder (replica side) or WithClientRecorder
 // (client side); a nil recorder costs one nil check per stamp point.
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	return trace.New(cfg)

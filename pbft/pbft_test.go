@@ -64,12 +64,12 @@ func buildUDPCluster(t *testing.T, opts Options) (*Config, []*Replica, *Client) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.Start()
+		go func() { _ = rep.Run(context.Background()) }()
 		replicas[i] = rep
 	}
 	t.Cleanup(func() {
 		for _, r := range replicas {
-			r.Stop()
+			_ = r.Shutdown(context.Background())
 		}
 	})
 	cl, err := NewClient(cfg, uint32(n), clientKey, clientConn)
