@@ -141,14 +141,13 @@ func (call *Call) retransmitDelay(attempt int) time.Duration {
 // changes how often a stalled service is hammered, not how long a caller
 // waits for ErrTimeout.
 //
-// Retransmission is view-aware: when the client's f+1-supported view
-// estimate has moved since this call was last sent — replies to sibling
-// calls revealed a view change — the call is retargeted at the new view's
-// primary, which may simply have never seen it (requests queued at the
-// deposed primary are not carried over). Only when the view estimate is
-// unchanged does the call fall back to blind broadcast, the heavyweight
-// path that makes every backup relay to the primary and arm its
-// view-change timer.
+// Retransmission is view-aware: a call still addressed to the primary of
+// a view older than the client's f+1-supported estimate is retargeted at
+// the new view's primary, which may simply have never seen it (dispatch
+// normally did that already, the moment the estimate advanced). Only when
+// the view estimate is unchanged does the call fall back to blind
+// broadcast, the heavyweight path that makes every backup relay to the
+// primary and arm its view-change timer.
 func (call *Call) onTimeout() {
 	call.mu.Lock()
 	if call.finished {
@@ -168,19 +167,29 @@ func (call *Call) onTimeout() {
 		delay = remaining
 	}
 	call.timer.Reset(delay)
-	sentView := call.sentView
 	call.mu.Unlock()
 	call.c.maybeHello()
-	if !call.multicast {
-		if v := call.c.viewEstimate(); v != sentView {
-			call.mu.Lock()
-			call.sentView = v
-			call.mu.Unlock()
-			_ = call.c.conn.Send(call.c.primaryAddr(v), call.env.Raw())
-			return
-		}
+	if !call.multicast && call.retarget(call.c.viewEstimate()) {
+		return
 	}
 	_ = call.c.broadcast(call.env)
+}
+
+// retarget re-sends a primary-routed call to the primary of view when the
+// call was last sent in an older one, and reports whether it did. The
+// demux goroutine calls it the moment the f+1-supported view estimate
+// advances, onTimeout as a fallback for an advance the call missed.
+func (call *Call) retarget(view uint64) bool {
+	call.mu.Lock()
+	behind := !call.finished && call.sentView < view
+	if behind {
+		call.sentView = view
+	}
+	call.mu.Unlock()
+	if behind {
+		_ = call.c.conn.Send(call.c.primaryAddr(view), call.env.Raw())
+	}
+	return behind
 }
 
 // deliver folds one authenticated, routed reply into the quorum state.

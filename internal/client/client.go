@@ -234,9 +234,22 @@ func (c *Client) dispatch(data []byte) {
 			return
 		}
 		c.mu.Lock()
-		c.recordViewLocked(env.Sender, rep.View)
+		var behind []*Call
+		if c.recordViewLocked(env.Sender, rep.View) {
+			// The group moved to a new primary: hand it every call the old
+			// one was sent, now, not one backoff interval from now.
+			for _, other := range c.calls {
+				if !other.multicast {
+					behind = append(behind, other)
+				}
+			}
+		}
+		view := c.view
 		call := c.calls[rep.Timestamp]
 		c.mu.Unlock()
+		for _, other := range behind {
+			other.retarget(view)
+		}
 		if call == nil || call.clientID != rep.ClientID {
 			return
 		}
@@ -264,22 +277,24 @@ func (c *Client) dispatch(data []byte) {
 
 // recordViewLocked folds one replica's reported view into the estimate:
 // the estimate advances to v only when f+1 distinct replicas have
-// reported v or higher (at least one of them is then correct). Callers
-// hold c.mu.
-func (c *Client) recordViewLocked(replica uint32, view uint64) {
+// reported v or higher (at least one of them is then correct) — and
+// reports whether it did. Callers hold c.mu.
+func (c *Client) recordViewLocked(replica uint32, view uint64) bool {
 	if int(replica) >= len(c.viewVotes) || view <= c.viewVotes[replica] {
-		return
+		return false
 	}
 	c.viewVotes[replica] = view
 	if view <= c.view {
-		return
+		return false
 	}
 	// The (f+1)-th highest vote is the highest view with f+1 supporters.
 	votes := append([]uint64(nil), c.viewVotes...)
 	sort.Slice(votes, func(i, j int) bool { return votes[i] > votes[j] })
 	if supported := votes[c.f]; supported > c.view {
 		c.view = supported
+		return true
 	}
+	return false
 }
 
 // viewEstimate returns the f+1-supported view estimate.
@@ -429,7 +444,6 @@ func (c *Client) Submit(ctx context.Context, op []byte, opts ...CallOption) *Cal
 	c.timestamp++
 	ts := c.timestamp
 	id := c.id
-	view := c.view
 	helloDue := c.helloDueLocked()
 	c.mu.Unlock()
 	if c.rec != nil {
@@ -469,6 +483,9 @@ func (c *Client) Submit(ctx context.Context, op []byte, opts ...CallOption) *Cal
 	// the primary (§2.1); others go to the primary alone.
 	call := c.register(ctx, id, ts, env, big || co.readOnly, true)
 	call.windowed = true
+	// Read here, where the call becomes visible to dispatch: a view the
+	// estimate reaches from now on retargets this call too.
+	view := c.view
 	call.sentView = view
 	c.mu.Unlock()
 

@@ -80,8 +80,8 @@ func recvCount(conn transport.Conn, window time.Duration) int {
 }
 
 // TestRetransmitRetargetsNewPrimary: when the client's f+1-supported view
-// estimate moves, the next retransmission goes to the new view's primary
-// alone; a further timeout in the same view falls back to broadcast.
+// estimate moves, the outstanding call is re-sent to the new view's primary
+// alone, at once; a timeout in the same view falls back to broadcast.
 func TestRetransmitRetargetsNewPrimary(t *testing.T) {
 	cfg, cl, rkeys, conns := viewTestSetup(t)
 
@@ -114,30 +114,41 @@ func TestRetransmitRetargetsNewPrimary(t *testing.T) {
 		}
 	}
 
-	// Replies from two distinct replicas reveal view 2 (f+1 support).
+	// One correctly signed reply claiming view 2 is one replica's word:
+	// the estimate stays, and nothing is re-sent on the strength of it.
 	// The replies answer an unrelated timestamp so the call stays open.
-	for _, id := range []uint32{1, 3} {
+	reveal := func(id uint32) {
 		rep := &wire.Reply{View: 2, Timestamp: 999, ClientID: 4, Replica: id, Result: []byte("x")}
 		cl.dispatch(sealReply(t, cfg, cl, rkeys, id, rep, false))
 	}
-	if v := cl.viewEstimate(); v != 2 {
-		t.Fatalf("view estimate = %d, want 2", v)
+	reveal(1)
+	if v := cl.viewEstimate(); v != 0 {
+		t.Fatalf("a single replica moved the view estimate to %d, want 0", v)
 	}
-
-	// First timeout after the view moved: retarget the new primary (r2)
-	// alone — no broadcast.
-	call.onTimeout()
-	if got := recvCount(conns[2], 100*time.Millisecond); got != 1 {
-		t.Fatalf("new primary received %d requests after retarget, want 1", got)
-	}
-	for _, i := range []int{0, 1, 3} {
+	for i := 0; i < 4; i++ {
 		if got := recvCount(conns[i], 50*time.Millisecond); got != 0 {
-			t.Fatalf("replica %d received %d requests during the retargeted round, want 0", i, got)
+			t.Fatalf("replica %d received %d requests on one replica's view claim, want 0", i, got)
 		}
 	}
 
-	// Second timeout with an unchanged view estimate: blind broadcast —
-	// the recovery path that arms every backup's liveness timer.
+	// A second replica makes it f+1: the estimate advances and the
+	// outstanding call goes to the new primary (r2) alone, at once — no
+	// timeout, no broadcast.
+	reveal(3)
+	if v := cl.viewEstimate(); v != 2 {
+		t.Fatalf("view estimate = %d, want 2", v)
+	}
+	if got := recvCount(conns[2], 100*time.Millisecond); got != 1 {
+		t.Fatalf("new primary received %d requests when the estimate advanced, want 1", got)
+	}
+	for _, i := range []int{0, 1, 3} {
+		if got := recvCount(conns[i], 50*time.Millisecond); got != 0 {
+			t.Fatalf("replica %d received %d requests during the retarget, want 0", i, got)
+		}
+	}
+
+	// A timeout with an unchanged view estimate: blind broadcast — the
+	// recovery path that arms every backup's liveness timer.
 	call.onTimeout()
 	for i := 0; i < 4; i++ {
 		if got := recvCount(conns[i], 100*time.Millisecond); got != 1 {

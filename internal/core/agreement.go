@@ -36,7 +36,7 @@ func (r *Replica) onRequest(req *wire.Request, client *nodeEntry, raw []byte) {
 	// request: a retransmission that dedups here must not keep pushing
 	// the replica toward a view change it cannot satisfy.
 	if cw := r.clientWins[req.ClientID]; cw != nil && cw.executed(req.Timestamp, r.cfg.ClientWindow()) {
-		delete(r.pendingSeen, reqKey{req.ClientID, req.Timestamp})
+		r.forgetPending(reqKey{req.ClientID, req.Timestamp})
 		if cached := cw.cachedReply(req.Timestamp); cached != nil {
 			r.sendReply(cached, client)
 		}
@@ -71,12 +71,36 @@ func (r *Replica) onRequest(req *wire.Request, client *nodeEntry, raw []byte) {
 	// Backup: remember the request for the liveness timer and relay the
 	// client's envelope to the primary verbatim (big bodies were
 	// multicast by the client already, so only the non-big path relays).
-	key := reqKey{req.ClientID, req.Timestamp}
-	if _, ok := r.pendingSeen[key]; !ok {
-		r.pendingSeen[key] = r.now()
-	}
+	r.notePending(reqKey{req.ClientID, req.Timestamp}, req)
 	if !req.Big() && !r.inViewChange && raw != nil {
 		_ = r.conn.Send(r.cfg.Replicas[r.cfg.Primary(r.view)].Addr, raw)
+	}
+}
+
+// notePending arms the request timer for a request the primary has yet to
+// order and keeps the request beside the stamp. A correct client has at
+// most ClientWindow requests in flight, so that is all one client gets: a
+// client that floods distinct timestamps cannot grow the map.
+func (r *Replica) notePending(key reqKey, req *wire.Request) {
+	if _, ok := r.pendingSeen[key]; ok {
+		return
+	}
+	if uint64(r.pendingPerCli[key.client]) >= r.cfg.ClientWindow() {
+		return
+	}
+	r.pendingPerCli[key.client]++
+	r.pendingSeen[key] = pendingReq{since: r.now(), req: req}
+}
+
+// forgetPending disarms the request timer and drops the held request: the
+// request was assigned a sequence number, executed, or found executed.
+func (r *Replica) forgetPending(key reqKey) {
+	if _, ok := r.pendingSeen[key]; !ok {
+		return
+	}
+	delete(r.pendingSeen, key)
+	if r.pendingPerCli[key.client]--; r.pendingPerCli[key.client] <= 0 {
+		delete(r.pendingPerCli, key.client)
 	}
 }
 
@@ -161,6 +185,7 @@ func (r *Replica) propose(reqs []*wire.Request) {
 	e.pp = pp
 	e.ppRaw = env.Raw()
 	e.digest = pp.BatchDigest()
+	e.ppAt = r.tickAt
 	if r.batchCtl != nil {
 		e.proposedAt = r.now()
 	}
@@ -186,16 +211,21 @@ func (r *Replica) inWindow(seq uint64) bool {
 }
 
 // acceptPrePrepare validates and logs a pre-prepare (decoded and
-// authenticated by the ingress pipeline). fromNewView skips the checks
-// that do not apply to re-proposed assignments.
-func (r *Replica) acceptPrePrepare(pp *wire.PrePrepare, env *wire.Envelope, fromNewView bool) {
-	if !fromNewView {
-		if r.inViewChange || pp.View != r.view || env.Sender != r.cfg.Primary(pp.View) {
-			return
+// authenticated by the ingress pipeline) from sender; raw is its envelope's
+// wire form. One for the view being voted is parked until that view
+// installs (hold).
+func (r *Replica) acceptPrePrepare(pp *wire.PrePrepare, sender uint32, raw []byte) {
+	if sender != r.cfg.Primary(pp.View) || !r.inWindow(pp.Seq) {
+		return
+	}
+	if r.inViewChange {
+		if pp.View == r.vcTarget {
+			r.hold(heldKey{wire.MTPrePrepare, pp.Seq, sender}, heldMsg{pp: pp, raw: raw})
 		}
-		if !r.inWindow(pp.Seq) {
-			return
-		}
+		return
+	}
+	if pp.View != r.view {
+		return
 	}
 	digest := pp.BatchDigest()
 	e := r.getEntry(pp.Seq)
@@ -220,19 +250,20 @@ func (r *Replica) acceptPrePrepare(pp *wire.PrePrepare, env *wire.Envelope, from
 		}
 	}
 	if e.pp != nil && pp.View > e.view {
-		e.resetForView(pp.View, pp, env.Raw(), digest)
+		e.resetForView(pp.View, pp, raw, digest)
 	} else {
 		e.view = pp.View
 		e.pp = pp
-		e.ppRaw = env.Raw()
+		e.ppRaw = raw
 		e.digest = digest
 	}
+	e.ppAt = r.tickAt
 	// Remember full bodies so status retransmission can serve them, and
 	// clear liveness timers for the assigned requests.
 	for i := range pp.Entries {
 		be := &pp.Entries[i]
 		c, ts := be.RequestID()
-		delete(r.pendingSeen, reqKey{c, ts})
+		r.forgetPending(reqKey{c, ts})
 		if be.Full && be.Req.Big() {
 			req := be.Req
 			r.bigBodies[req.Digest()] = &bigBody{req: &req}
@@ -253,7 +284,16 @@ func (r *Replica) acceptPrePrepare(pp *wire.PrePrepare, env *wire.Envelope, from
 // onPrepare records a backup's prepare vote (decoded and authenticated by
 // the ingress pipeline).
 func (r *Replica) onPrepare(p *wire.Prepare) {
-	if p.View != r.view || !r.inWindow(p.Seq) || r.inViewChange {
+	if !r.inWindow(p.Seq) {
+		return
+	}
+	if r.inViewChange {
+		if p.View == r.vcTarget {
+			r.hold(heldKey{wire.MTPrepare, p.Seq, p.Replica}, heldMsg{prep: *p})
+		}
+		return
+	}
+	if p.View != r.view {
 		return
 	}
 	if p.Replica == r.cfg.Primary(p.View) {
@@ -289,7 +329,16 @@ func (r *Replica) tryPrepared(e *entry) {
 // onCommit records a replica's commit vote (decoded and authenticated by
 // the ingress pipeline).
 func (r *Replica) onCommit(c *wire.Commit) {
-	if c.View != r.view || !r.inWindow(c.Seq) || r.inViewChange {
+	if !r.inWindow(c.Seq) {
+		return
+	}
+	if r.inViewChange {
+		if c.View == r.vcTarget {
+			r.hold(heldKey{wire.MTCommit, c.Seq, c.Replica}, heldMsg{cmt: *c})
+		}
+		return
+	}
+	if c.View != r.view {
 		return
 	}
 	e := r.getEntry(c.Seq)

@@ -92,11 +92,22 @@ type Options struct {
 	PageSize int
 
 	// ViewChangeTimeout is how long a backup waits for a pending
-	// request to execute before starting a view change.
+	// request to execute before starting a view change, whatever the
+	// primary is doing meanwhile, and how long it waits for a view change
+	// it voted for to install before voting for the next view. A primary
+	// that has gone completely silent while the other replicas keep
+	// talking is given up sooner, after max(ViewChangeTimeout/4,
+	// 3 x StatusInterval) of silence with a request pending (see
+	// Replica.primarySilent). Zero or negative disables both triggers.
 	ViewChangeTimeout time.Duration
 
-	// StatusInterval is the period of status gossip (drives
-	// retransmission and lag detection).
+	// StatusInterval is the period of status gossip. Gossip drives
+	// retransmission (to a lagging peer, and between level peers of
+	// entries that sat unexecuted for longer than one interval) and lag
+	// detection, and it is the heartbeat crash suspicion listens for:
+	// three missed intervals bound the suspicion window from below, two
+	// bound how recently the other replicas must have been heard, and a
+	// replica whose own ticks are further apart than one does not judge.
 	StatusInterval time.Duration
 
 	// HelloInterval is the period at which clients blindly retransmit

@@ -227,8 +227,7 @@ func (r *Replica) submitEntry(e *entry) {
 // submitRequest performs one request's loop-side work and hands the
 // application execution to the engine (or, for duplicates, nothing).
 func (r *Replica) submitRequest(req *wire.Request, nd NonDetValues, tentative bool, e *entry) {
-	key := reqKey{req.ClientID, req.Timestamp}
-	delete(r.pendingSeen, key)
+	r.forgetPending(reqKey{req.ClientID, req.Timestamp})
 	if q := r.primaryQueued[req.ClientID]; q != nil {
 		delete(q, req.Timestamp)
 		if len(q) == 0 {
@@ -484,26 +483,70 @@ func (r *Replica) reapApplies() {
 	}
 }
 
-// checkLiveness fires the view-change timer: a pending request that sat
-// unexecuted past the timeout, or a view change that stalled, pushes the
-// replica to the next view.
+// checkLiveness fires the view-change triggers: a pending request that sat
+// unexecuted past the timeout, a pending request under a primary that went
+// silent (primarySilent), or a view change that stalled, pushes the replica
+// to the next view.
 func (r *Replica) checkLiveness(now time.Time) {
 	if r.inViewChange {
 		if !r.vcDeadline.IsZero() && now.After(r.vcDeadline) {
-			r.startViewChange(r.vcTarget + 1)
+			r.startViewChange(r.vcTarget+1, trace.CauseStalled)
 		}
 		return
 	}
 	timeout := r.cfg.Opts.ViewChangeTimeout
-	if timeout <= 0 {
+	if timeout <= 0 || len(r.pendingSeen) == 0 {
 		return
 	}
-	for _, t := range r.pendingSeen {
-		if now.Sub(t) > timeout {
-			r.startViewChange(r.view + 1)
+	for _, p := range r.pendingSeen {
+		if now.Sub(p.since) > timeout {
+			r.startViewChange(r.view+1, trace.CauseRequestTimeout)
 			return
 		}
 	}
+	if r.primarySilent(now, timeout) {
+		r.startViewChange(r.view+1, trace.CausePrimarySilent)
+	}
+}
+
+// primarySilent is the crash-suspicion rule: with a request pending, a
+// primary that has sent nothing authenticated at all for
+// max(ViewChangeTimeout/4, 3 x StatusInterval) — status gossip alone would
+// have produced three messages — is taken for crashed, and the view change
+// starts without waiting out the request timer. A primary that says
+// anything, however slow, withholding or equivocating, keeps the full
+// timeout. Three guards keep the rule from misreading this replica's own
+// trouble as the primary's:
+//
+//   - the silence is differential: within the last 2 x StatusInterval 2f
+//     other replicas were heard, so a backup cut off from everybody (or
+//     alone with a quiet group) never fires;
+//   - it is counted only while this replica listened: not before the
+//     window (re)started at an install or after a gap in its own ticks
+//     (onTick), because messages that queued up behind a stalled loop
+//     carry the stamp of the tick before the stall;
+//   - and not before the primary was heard once, so a replica that just
+//     booted into a view does not judge it.
+func (r *Replica) primarySilent(now time.Time, timeout time.Duration) bool {
+	status := r.cfg.Opts.StatusInterval
+	primary := r.cfg.Primary(r.view)
+	last := r.heard[primary]
+	if last.IsZero() {
+		return false
+	}
+	if last.Before(r.listeningSince) {
+		last = r.listeningSince
+	}
+	if now.Sub(last) < max(timeout/4, 3*status) {
+		return false
+	}
+	talking := 0
+	for id, at := range r.heard {
+		if uint32(id) != primary && uint32(id) != r.id && now.Sub(at) <= 2*status {
+			talking++
+		}
+	}
+	return talking >= 2*r.f
 }
 
 // --- Replicated middleware metadata -------------------------------------

@@ -16,6 +16,9 @@ type entry struct {
 	pp     *wire.PrePrepare
 	ppRaw  []byte // the pre-prepare's original envelope (retransmission, P sets)
 	digest crypto.Digest
+	// ppAt is the tick the pre-prepare was logged at; status gossip
+	// retransmits an entry that sat unexecuted past one StatusInterval.
+	ppAt time.Time
 
 	// prepares maps backup id -> agreed digest (primary's pre-prepare
 	// stands in for its prepare, so it is excluded).
@@ -92,6 +95,32 @@ func (e *entry) resetForView(view uint64, pp *wire.PrePrepare, ppRaw []byte, dig
 type reqKey struct {
 	client uint32
 	ts     uint64
+}
+
+// pendingReq is one request a backup waits on the primary to order: since
+// arms the request timer (checkLiveness), req is the authenticated request
+// itself, kept so that this replica can order it at once should it become
+// the primary (nil for joins, which their client multicasts on every round).
+type pendingReq struct {
+	since time.Time
+	req   *wire.Request
+}
+
+// heldKey identifies one parked agreement message: its type, sequence
+// number and sender.
+type heldKey struct {
+	kind    wire.MsgType
+	seq     uint64
+	replica uint32
+}
+
+// heldMsg is a parked pre-prepare (with its envelope's wire form), prepare
+// or commit, by heldKey.kind.
+type heldMsg struct {
+	pp   *wire.PrePrepare
+	raw  []byte
+	prep wire.Prepare
+	cmt  wire.Commit
 }
 
 // bigBody is a request body received directly from a client (big-request

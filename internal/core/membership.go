@@ -87,10 +87,7 @@ func (r *Replica) onJoinRequest(env *wire.Envelope, req *wire.Request) {
 		r.pendingQueue = append(r.pendingQueue, req)
 		r.tryPropose()
 	} else {
-		k := reqKey{JoinSender, req.Timestamp}
-		if _, seen := r.pendingSeen[k]; !seen {
-			r.pendingSeen[k] = r.now()
-		}
+		r.notePending(reqKey{JoinSender, req.Timestamp}, nil)
 	}
 }
 

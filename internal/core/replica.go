@@ -87,7 +87,8 @@ type Replica struct {
 	clientWins      map[uint32]*clientWindow
 	pendingQueue    []*wire.Request
 	primaryQueued   map[uint32]map[uint64]bool
-	pendingSeen     map[reqKey]time.Time
+	pendingSeen     map[reqKey]pendingReq
+	pendingPerCli   map[uint32]int  // pendingSeen entries per client, at most ClientWindow
 	applyQueue      []*pendingApply // submitted to the engine, not yet reaped
 	executing       bool            // tryExecute reentrancy guard
 
@@ -106,6 +107,17 @@ type Replica struct {
 	viewChanges  map[uint64]map[uint32]*vcRecord
 	newViewRaw   []byte
 	vcDeadline   time.Time
+	held         map[heldKey]heldMsg // votes for vcTarget that overtook its NEW-VIEW (hold)
+
+	// Crash suspicion (primarySilent). heard[i] is when the last
+	// authenticated message from replica i was handled, read off tickAt,
+	// the clock of the latest tick, so a packet costs one store and no
+	// clock read. listeningSince starts the window over which this replica
+	// may judge silence: every install and every gap in its own ticks
+	// restarts it.
+	heard          []time.Time
+	tickAt         time.Time
+	listeningSince time.Time
 
 	sync *syncState
 
@@ -319,7 +331,9 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 		bigBodies:     make(map[crypto.Digest]*bigBody),
 		clientWins:    make(map[uint32]*clientWindow),
 		primaryQueued: make(map[uint32]map[uint64]bool),
-		pendingSeen:   make(map[reqKey]time.Time),
+		pendingSeen:   make(map[reqKey]pendingReq),
+		pendingPerCli: make(map[uint32]int),
+		heard:         make([]time.Time, cfg.N()),
 		ckpts:         make(map[uint64]*ckptRecord),
 		pendingJoins:  make(map[string]*pendingJoin),
 		viewChanges:   make(map[uint64]map[uint32]*vcRecord),
@@ -732,6 +746,13 @@ func (r *Replica) drainForShutdown() {
 func (r *Replica) handleVerified(m *inMsg) {
 	env := &m.env
 	switch env.Type {
+	case wire.MTPrePrepare, wire.MTPrepare, wire.MTCommit, wire.MTCheckpoint,
+		wire.MTViewChange, wire.MTNewView, wire.MTStatus:
+		// What the ingress verified against a replica's key (state-transfer
+		// traffic is unauthenticated, everything else comes from clients).
+		r.heard[env.Sender] = r.tickAt
+	}
+	switch env.Type {
 	case wire.MTRequest:
 		if m.req.System() && env.Sender == JoinSender {
 			if !r.cfg.Opts.DynamicClients {
@@ -771,7 +792,7 @@ func (r *Replica) handleVerified(m *inMsg) {
 		r.onRequest(m.req, client, m.raw)
 		m.releaseRaw()
 	case wire.MTPrePrepare:
-		r.acceptPrePrepare(m.pp, env, false)
+		r.acceptPrePrepare(m.pp, env.Sender, m.raw)
 	case wire.MTPrepare:
 		r.onPrepare(m.prep)
 		m.releaseRaw()
@@ -806,6 +827,12 @@ func (r *Replica) handleVerified(m *inMsg) {
 // re-requests and primary queue flushing.
 func (r *Replica) onTick() {
 	now := r.now()
+	if now.Sub(r.tickAt) > r.cfg.Opts.StatusInterval {
+		// The loop was not listening (start-up, a long handler, a starved
+		// scheduler): it cannot tell silence from its own absence.
+		r.listeningSince = now
+	}
+	r.tickAt = now
 	if now.Sub(r.lastStatus) >= r.cfg.Opts.StatusInterval {
 		r.lastStatus = now
 		r.broadcastStatus()

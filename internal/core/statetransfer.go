@@ -260,16 +260,23 @@ func (r *Replica) onStatus(st *wire.Status) {
 		}
 	}
 	// Peer is behind in the current view: retransmit our log messages
-	// for a bounded window above its execution point.
-	if st.View == r.view && st.LastExec < r.lastExec && !r.inViewChange {
+	// for a bounded window above its execution point. A peer level with us
+	// gets the entries we have both been sitting on for more than a
+	// StatusInterval: agreement is short of a vote somewhere, and with a
+	// replica down one lost pre-prepare is enough for that.
+	if st.View == r.view && st.LastExec <= r.lastExec && !r.inViewChange {
+		stuck := st.LastExec == r.lastExec
 		limit := st.LastExec + 16
-		if limit > r.lastExec {
+		if !stuck && limit > r.lastExec {
 			limit = r.lastExec
 		}
 		for s := st.LastExec + 1; s <= limit; s++ {
 			e := r.log[s]
 			if e == nil || e.pp == nil {
 				continue
+			}
+			if stuck && r.tickAt.Sub(e.ppAt) <= r.cfg.Opts.StatusInterval {
+				continue // still in flight
 			}
 			// Retransmit the pre-prepare in its original form: for
 			// big requests this carries digests only — the §2.4

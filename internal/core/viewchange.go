@@ -9,8 +9,9 @@ import (
 	"repro/internal/wire"
 )
 
-// startViewChange abandons the current view and votes for target (§2.1).
-func (r *Replica) startViewChange(target uint64) {
+// startViewChange abandons the current view and votes for target (§2.1);
+// cause names the trigger for the trace.
+func (r *Replica) startViewChange(target uint64, cause trace.ViewChangeCause) {
 	if target <= r.view {
 		return
 	}
@@ -20,8 +21,9 @@ func (r *Replica) startViewChange(target uint64) {
 	r.inViewChange = true
 	r.vcTarget = target
 	r.vcDeadline = r.now().Add(r.cfg.Opts.ViewChangeTimeout)
-	r.emit(trace.Event{Kind: trace.EvViewChangeStart, View: r.view, Seq: r.seq, Target: target})
+	r.emit(trace.Event{Kind: trace.EvViewChangeStart, View: r.view, Seq: r.seq, Target: target, Cause: cause})
 	r.pendingQueue = nil
+	r.held = nil // parked votes were for the previous target
 	r.rollbackTentative()
 
 	vc := &wire.ViewChange{
@@ -99,7 +101,7 @@ func (r *Replica) onViewChange(env *wire.Envelope, raw []byte) {
 		}
 		if len(voters) > r.f && smallest > r.view {
 			if !r.inViewChange || smallest > r.vcTarget {
-				r.startViewChange(smallest)
+				r.startViewChange(smallest, trace.CauseJoined)
 			}
 		}
 	}
@@ -260,12 +262,16 @@ func (r *Replica) installNewView(nv *wire.NewView, raw []byte) {
 	r.primaryQueued = make(map[uint32]map[uint64]bool)
 	r.primaryJoinSeen = nil
 	r.pendingQueue = nil
-	// Restart the request liveness timers: the new primary deserves a
-	// full timeout to order what the clients retransmit.
+	// Restart the request timers and the suspicion window: the new primary
+	// gets a full timeout, and a full silence, of its own.
 	now := r.now()
-	for k := range r.pendingSeen {
-		r.pendingSeen[k] = now
+	for k, p := range r.pendingSeen {
+		p.since = now
+		r.pendingSeen[k] = p
 	}
+	r.listeningSince = now
+	held := r.held
+	r.held = nil
 
 	maxS := r.lastStable
 	primaryEnv := &wire.Envelope{Type: wire.MTPrePrepare, Sender: r.cfg.Primary(nv.View)}
@@ -280,6 +286,11 @@ func (r *Replica) installNewView(nv *wire.NewView, raw []byte) {
 		primaryEnv.Payload = pp.Marshal()
 		e := r.getEntry(pp.Seq)
 		e.resetForView(pp.View, &pp, primaryEnv.Marshal(), pp.BatchDigest())
+		e.ppAt = r.tickAt
+		for j := range pp.Entries {
+			c, ts := pp.Entries[j].RequestID()
+			r.forgetPending(reqKey{c, ts}) // assigned, as in acceptPrePrepare
+		}
 		if !r.isPrimary() && !e.sentPrepare {
 			e.sentPrepare = true
 			prep := wire.Prepare{View: pp.View, Seq: pp.Seq, Digest: e.digest, Replica: r.id}
@@ -305,5 +316,60 @@ func (r *Replica) installNewView(nv *wire.NewView, raw []byte) {
 			r.tryPrepared(e)
 		}
 	}
+	for k, m := range held {
+		switch k.kind {
+		case wire.MTPrePrepare:
+			r.acceptPrePrepare(m.pp, k.replica, m.raw)
+		case wire.MTPrepare:
+			r.onPrepare(&m.prep)
+		case wire.MTCommit:
+			r.onCommit(&m.cmt)
+		}
+	}
+	if r.isPrimary() {
+		r.reproposeHeld()
+	}
 	r.tryExecute()
+}
+
+// hold parks one agreement message of the view being voted that arrived
+// before its NEW-VIEW; installNewView replays what is parked for the view
+// it installs. Nothing would retransmit these messages otherwise (status
+// gossip resends only what is older than a StatusInterval), and with one
+// replica down a single overtaken pre-prepare leaves the fresh view short
+// of a quorum for a whole ViewChangeTimeout. Bounded by the log window:
+// one entry per (kind, sequence number in the window, sender).
+func (r *Replica) hold(k heldKey, m heldMsg) {
+	if _, ok := r.held[k]; !ok && len(r.held) >= int(r.cfg.LogWindow())*(2*r.n+1) {
+		return // only reachable when the window slid under a long view change
+	}
+	if r.held == nil {
+		r.held = make(map[heldKey]heldMsg)
+	}
+	r.held[k] = m
+}
+
+// reproposeHeld lets the new primary order at once the requests it was
+// itself waiting on as a backup, in (client, timestamp) order, instead of
+// leaving them to each client's next retransmission. What the O set
+// re-proposed is no longer pending; onRequest filters what the client
+// windows report executed.
+func (r *Replica) reproposeHeld() {
+	var reqs []*wire.Request
+	for _, p := range r.pendingSeen {
+		if p.req != nil {
+			reqs = append(reqs, p.req)
+		}
+	}
+	sort.Slice(reqs, func(i, j int) bool {
+		if reqs[i].ClientID != reqs[j].ClientID {
+			return reqs[i].ClientID < reqs[j].ClientID
+		}
+		return reqs[i].Timestamp < reqs[j].Timestamp
+	})
+	for _, req := range reqs {
+		if client := r.nodes.get(req.ClientID); client != nil {
+			r.onRequest(req, client, nil)
+		}
+	}
 }

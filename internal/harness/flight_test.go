@@ -161,6 +161,9 @@ func TestFlightRecorderSpansViewChange(t *testing.T) {
 		switch e.Kind {
 		case "view_change_start":
 			sawStart = true
+			if e.Cause == "" {
+				t.Fatalf("view-change start without a cause: %+v", e)
+			}
 		case "view_change_install":
 			if e.View == 1 {
 				installAt = e.AtNs

@@ -52,6 +52,8 @@ type EventDump struct {
 	Seq  uint64 `json:"seq,omitempty"`
 	// Target is the view a view-change event votes for or installs.
 	Target uint64 `json:"target,omitempty"`
+	// Cause is what triggered a view_change_start.
+	Cause string `json:"cause,omitempty"`
 }
 
 func dumpTimeline(tl *Timeline) TimelineDump {
@@ -103,7 +105,7 @@ func (r *Recorder) Dump() Dump {
 	}
 	for i := ehead - en; i < ehead; i++ {
 		if e := r.events[i&r.eventMask].Load(); e != nil {
-			d.Events = append(d.Events, EventDump{Kind: e.Kind.String(), AtNs: e.At, View: e.View, Seq: e.Seq, Target: e.Target})
+			d.Events = append(d.Events, EventDump{Kind: e.Kind.String(), AtNs: e.At, View: e.View, Seq: e.Seq, Target: e.Target, Cause: e.Cause.String()})
 		}
 	}
 

@@ -239,6 +239,38 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
+// ViewChangeCause says which of the replica's triggers started a view
+// change; it is set on EvViewChangeStart only.
+type ViewChangeCause uint8
+
+const (
+	// CauseNone is the zero value, carried by every other event kind.
+	CauseNone ViewChangeCause = iota
+	// CauseRequestTimeout: a pending request sat unexecuted for the full
+	// ViewChangeTimeout (the primary may be talking, slow or withholding).
+	CauseRequestTimeout
+	// CausePrimarySilent: a request was pending and the primary sent
+	// nothing at all for the suspicion window while the other replicas
+	// kept talking — a crashed primary.
+	CausePrimarySilent
+	// CauseJoined: f+1 other replicas voted for higher views and this
+	// replica joined the smallest of them.
+	CauseJoined
+	// CauseStalled: the view change being voted did not install within
+	// ViewChangeTimeout and the replica moved on to the next view.
+	CauseStalled
+	numCauses
+)
+
+var causeNames = [numCauses]string{"", "request_timeout", "primary_silent", "joined_f+1", "stalled_view_change"}
+
+func (c ViewChangeCause) String() string {
+	if int(c) < len(causeNames) {
+		return causeNames[c]
+	}
+	return "unknown"
+}
+
 // ringed reports whether the flight ring keeps events of this kind. The
 // per-sequence kinds (batch, commit) and the per-client session kinds
 // would flush the rare transitions a post-mortem needs — view changes,
@@ -265,7 +297,9 @@ type Event struct {
 	View uint64
 	Seq  uint64
 	// Target is the view voted for (start) or installed (install).
-	Target   uint64
+	Target uint64
+	// Cause is the trigger of a view-change start.
+	Cause    ViewChangeCause
 	Count    uint64
 	ClientID uint32
 	// Digest is the composite state digest (region root + metadata) of a

@@ -233,6 +233,15 @@ const (
 	EvSessionEvict        = trace.EvSessionEvict
 )
 
+// Causes carried by an EvViewChangeStart event (Event.Cause): which
+// trigger made the replica abandon its view.
+const (
+	CauseRequestTimeout = trace.CauseRequestTimeout // a request sat unexecuted for ViewChangeTimeout
+	CausePrimarySilent  = trace.CausePrimarySilent  // a request was pending and the primary went silent
+	CauseJoined         = trace.CauseJoined         // f+1 other replicas voted for a higher view
+	CauseStalled        = trace.CauseStalled        // the view change being voted did not install in time
+)
+
 // Request-lifecycle phases, re-exported for PhaseSink implementations
 // and flight-dump consumers (pipeline order).
 const (
