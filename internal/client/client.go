@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -83,6 +84,10 @@ type Client struct {
 	challSink chan *wire.JoinChallenge // non-nil while Join phase 1 runs
 
 	demuxDone chan struct{} // closed when the demux goroutine exits
+
+	// verifies counts the reply envelopes dispatch authenticated, passed
+	// or not: tests read it to see which replies were dropped unverified.
+	verifies atomic.Uint64
 }
 
 // New creates a client with a pre-provisioned identity (static
@@ -226,34 +231,15 @@ func (c *Client) dispatch(data []byte) {
 	}
 	switch env.Type {
 	case wire.MTReply:
+		reps, err := wire.UnmarshalReplyList(env.Payload)
+		if err != nil || !c.wantReplies(env.Sender, reps) {
+			return
+		}
+		c.verifies.Add(1)
 		if !c.verifyFromReplica(env) {
 			return
 		}
-		rep, err := wire.UnmarshalReply(env.Payload)
-		if err != nil || rep.Replica != env.Sender {
-			return
-		}
-		c.mu.Lock()
-		var behind []*Call
-		if c.recordViewLocked(env.Sender, rep.View) {
-			// The group moved to a new primary: hand it every call the old
-			// one was sent, now, not one backoff interval from now.
-			for _, other := range c.calls {
-				if !other.multicast {
-					behind = append(behind, other)
-				}
-			}
-		}
-		view := c.view
-		call := c.calls[rep.Timestamp]
-		c.mu.Unlock()
-		for _, other := range behind {
-			other.retarget(view)
-		}
-		if call == nil || call.clientID != rep.ClientID {
-			return
-		}
-		call.deliver(rep)
+		c.deliverReplies(env.Sender, reps)
 	case wire.MTJoinChall:
 		// Join challenges are always signed (no session exists yet).
 		if env.Kind != wire.AuthSig || !env.VerifySig(c.cfg.Replicas[env.Sender].PubKey) {
@@ -271,6 +257,70 @@ func (c *Client) dispatch(data []byte) {
 			case sink <- ch:
 			default: // collector is behind; drop like the network would
 			}
+		}
+	}
+}
+
+// wantReplies decides, before any cryptography, whether a decoded reply list
+// is worth authenticating. It must be one replica's replies to one client —
+// every record names the envelope's sender and the same ClientID, or the
+// whole list is dropped — and at least one reply must answer a call in
+// flight or report a view above the sender's recorded vote. Everything
+// else, above all the replies a finished quorum no longer needs, is dropped
+// unverified: unauthenticated bytes only ever decide drop-or-verify, which
+// a lossy network decides anyway.
+func (c *Client) wantReplies(sender uint32, reps []wire.Reply) bool {
+	if len(reps) == 0 {
+		return false
+	}
+	for i := range reps {
+		if reps[i].Replica != sender || reps[i].ClientID != reps[0].ClientID {
+			return false
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range reps {
+		if call := c.calls[reps[i].Timestamp]; call != nil && call.clientID == reps[i].ClientID {
+			return true
+		}
+		if reps[i].View > c.viewVotes[sender] {
+			return true
+		}
+	}
+	return false
+}
+
+// deliverReplies routes an authenticated reply list: the highest view in it
+// is the sender's view report, and every reply goes to its call.
+func (c *Client) deliverReplies(sender uint32, reps []wire.Reply) {
+	var reported uint64
+	for i := range reps {
+		reported = max(reported, reps[i].View)
+	}
+	c.mu.Lock()
+	var behind []*Call
+	if c.recordViewLocked(sender, reported) {
+		// The group moved to a new primary: hand it every call the old
+		// one was sent, now, not one backoff interval from now.
+		for _, other := range c.calls {
+			if !other.multicast {
+				behind = append(behind, other)
+			}
+		}
+	}
+	view := c.view
+	c.mu.Unlock()
+	for _, other := range behind {
+		other.retarget(view)
+	}
+	for i := range reps {
+		rep := &reps[i]
+		c.mu.Lock()
+		call := c.calls[rep.Timestamp]
+		c.mu.Unlock()
+		if call != nil && call.clientID == rep.ClientID {
+			call.deliver(rep)
 		}
 	}
 }

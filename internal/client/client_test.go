@@ -56,7 +56,13 @@ func testSetup(t *testing.T, useMACs bool, opts ...Option) (*core.Config, *Clien
 // sealReply builds a reply envelope as replica id would.
 func sealReply(t *testing.T, cfg *core.Config, cl *Client, rkeys []*crypto.KeyPair, id uint32, rep *wire.Reply, mac bool) []byte {
 	t.Helper()
-	env := &wire.Envelope{Type: wire.MTReply, Sender: id, Payload: rep.Marshal()}
+	return sealReplies(cl, rkeys, id, mac, rep)
+}
+
+// sealReplies builds a reply envelope carrying a list, as replica id would
+// for one span's replies.
+func sealReplies(cl *Client, rkeys []*crypto.KeyPair, id uint32, mac bool, reps ...*wire.Reply) []byte {
+	env := &wire.Envelope{Type: wire.MTReply, Sender: id, Payload: wire.MarshalReplyList(reps...)}
 	if mac {
 		env.Kind = wire.AuthMAC
 		env.Auth = crypto.ComputeAuthenticator([]crypto.SessionKey{cl.sessionKeys[id]}, env.SignedBytes())
@@ -159,11 +165,11 @@ func TestDispatchAuthentication(t *testing.T) {
 			// A reply for another timestamp must not touch this call.
 			cl.dispatch(sealReply(t, cfg, cl, rkeys, 2, mkReply(8, 2, "r", false), mac))
 			// Claimed sender != signer.
-			lying := &wire.Envelope{Type: wire.MTReply, Sender: 1, Payload: mkReply(9, 1, "r", false).Marshal(), Kind: wire.AuthSig}
+			lying := &wire.Envelope{Type: wire.MTReply, Sender: 1, Payload: wire.MarshalReplyList(mkReply(9, 1, "r", false)), Kind: wire.AuthSig}
 			lying.Sig = rkeys[2].Sign(lying.SignedBytes())
 			cl.dispatch(lying.Marshal())
 			// Replica id out of range.
-			badID := &wire.Envelope{Type: wire.MTReply, Sender: 99, Payload: mkReply(9, 99, "r", false).Marshal(), Kind: wire.AuthSig}
+			badID := &wire.Envelope{Type: wire.MTReply, Sender: 99, Payload: wire.MarshalReplyList(mkReply(9, 99, "r", false)), Kind: wire.AuthSig}
 			badID.Sig = rkeys[2].Sign(badID.SignedBytes())
 			cl.dispatch(badID.Marshal())
 			// Garbage bytes.
@@ -262,6 +268,100 @@ func TestDispatchUpdatesViewEstimate(t *testing.T) {
 	cl.dispatch(sealReply(t, cfg, cl, rkeys, 3, &wire.Reply{View: 3, Timestamp: 1, ClientID: 4, Replica: 3, Result: []byte("x")}, false))
 	if cl.view != 5 {
 		t.Fatalf("view estimate regressed to %d", cl.view)
+	}
+}
+
+// TestDispatchSkipsFinishedCalls: the reply that arrives after its call's
+// quorum assembled is dropped without being authenticated.
+func TestDispatchSkipsFinishedCalls(t *testing.T) {
+	for _, mac := range []bool{true, false} {
+		t.Run(fmt.Sprintf("mac=%v", mac), func(t *testing.T) {
+			cfg, cl, rkeys := testSetup(t, mac)
+			call := pendingCall(cl, 5)
+			// Tentative replies: the quorum is 2f+1 = 3 of the 4.
+			for id := uint32(0); id < 3; id++ {
+				cl.dispatch(sealReply(t, cfg, cl, rkeys, id, mkReply(5, id, "ok", true), mac))
+			}
+			if result, err := call.Result(); err != nil || string(result) != "ok" {
+				t.Fatalf("three tentative replies: %q/%v", result, err)
+			}
+			if got := cl.verifies.Load(); got != 3 {
+				t.Fatalf("%d verifications for the quorum's replies, want 3", got)
+			}
+			cl.dispatch(sealReply(t, cfg, cl, rkeys, 3, mkReply(5, 3, "ok", true), mac))
+			if got := cl.verifies.Load(); got != 3 {
+				t.Fatalf("the fourth reply was verified (%d verifications, want 3)", got)
+			}
+		})
+	}
+}
+
+// TestDispatchVerifiesViewReports: a reply no call waits for is still
+// authenticated when it reports a view above its sender's recorded vote —
+// and then moves that vote — but not when it repeats the vote.
+func TestDispatchVerifiesViewReports(t *testing.T) {
+	cfg, cl, rkeys := testSetup(t, false)
+	report := func(id uint32, view uint64) {
+		rep := &wire.Reply{View: view, Timestamp: 999, ClientID: 4, Replica: id, Result: []byte("x")}
+		cl.dispatch(sealReply(t, cfg, cl, rkeys, id, rep, false))
+	}
+	report(1, 2)
+	if got := cl.verifies.Load(); got != 1 {
+		t.Fatalf("%d verifications, want 1", got)
+	}
+	if cl.viewVotes[1] != 2 {
+		t.Fatalf("replica 1's vote = %d, want 2", cl.viewVotes[1])
+	}
+	report(1, 2)
+	if got := cl.verifies.Load(); got != 1 {
+		t.Fatalf("a repeated view report was verified (%d verifications, want 1)", got)
+	}
+	report(3, 2)
+	if v := cl.viewEstimate(); v != 2 {
+		t.Fatalf("view estimate = %d after two reports, want 2", v)
+	}
+}
+
+// TestDispatchDropsMixedReplyLists: a list is one replica's replies to one
+// client; a record naming another replica or another client condemns the
+// whole list, the valid records in it included, before any verification.
+func TestDispatchDropsMixedReplyLists(t *testing.T) {
+	_, cl, rkeys := testSetup(t, false)
+	call := pendingCall(cl, 5)
+	other := mkReply(6, 2, "ok", false)
+	other.ClientID = 5
+	for name, reps := range map[string][]*wire.Reply{
+		"foreign replica": {mkReply(5, 2, "ok", false), mkReply(6, 3, "ok", false)},
+		"mixed clients":   {mkReply(5, 2, "ok", false), other},
+	} {
+		cl.dispatch(sealReplies(cl, rkeys, 2, false, reps...))
+		if got := cl.verifies.Load(); got != 0 {
+			t.Fatalf("%s: list was verified", name)
+		}
+		if len(call.byDigest) != 0 {
+			t.Fatalf("%s: a record of the list reached the call", name)
+		}
+	}
+}
+
+// TestDispatchGroupCompletesEveryCall: one verification admits every reply
+// of a list, so two replicas' lists complete both calls they answer.
+func TestDispatchGroupCompletesEveryCall(t *testing.T) {
+	_, cl, rkeys := testSetup(t, false)
+	first, second := pendingCall(cl, 7), pendingCall(cl, 8)
+	for _, id := range []uint32{0, 1} {
+		cl.dispatch(sealReplies(cl, rkeys, id, false, mkReply(7, id, "a", false), mkReply(8, id, "b", false)))
+	}
+	for _, c := range []struct {
+		call *Call
+		want string
+	}{{first, "a"}, {second, "b"}} {
+		if result, err := c.call.Result(); err != nil || string(result) != c.want {
+			t.Fatalf("call %d: %q/%v, want %q", c.call.timestamp, result, err, c.want)
+		}
+	}
+	if got := cl.verifies.Load(); got != 2 {
+		t.Fatalf("%d verifications for two lists, want 2", got)
 	}
 }
 

@@ -74,12 +74,14 @@ func (r *Replica) execReadOnly(req *wire.Request, client *nodeEntry) {
 	})
 }
 
-// sendSealedReply is the one reply egress path: encode into a pooled
-// writer, seal with the given session material, ship, return both
-// buffers to the arena. Safe off the protocol loop (it touches only its
-// arguments, immutable replica material and the thread-safe connection).
+// sendSealedReply sends one reply alone, as a reply list of one: encode
+// into a pooled writer, seal with the given session material, ship,
+// return both buffers to the arena. Safe off the protocol loop (it touches
+// only its arguments, immutable replica material and the thread-safe
+// connection).
 func (r *Replica) sendSealedReply(addr string, rep *wire.Reply, session crypto.SessionKey, useMAC bool) {
-	pw := wire.GetWriter(48 + len(rep.Result))
+	pw := wire.GetWriter(wire.ReplyListHeaderSize + rep.EncodedSize())
+	wire.BeginReplyList(pw, 1)
 	rep.Encode(pw)
 	env := r.sealWithSession(wire.MTReply, pw.Bytes(), session, useMAC)
 	r.sendToAddr(addr, env)
@@ -88,7 +90,7 @@ func (r *Replica) sendSealedReply(addr string, rep *wire.Reply, session crypto.S
 }
 
 // sendReply transmits a reply to its client (the cached-retransmission
-// path; freshly executed replies ship via sealAndSendReply).
+// path; freshly executed replies ship via sendSpanReplies).
 func (r *Replica) sendReply(rep *wire.Reply, client *nodeEntry) {
 	if client == nil {
 		return
@@ -183,13 +185,17 @@ type pendingApply struct {
 	// rep is built in place (one object per request; the reply cache
 	// retains &rep, and pa with it, for the client window's lifetime).
 	rep wire.Reply
-	// Client snapshot for off-loop reply sealing; hasClient is false when
-	// the client was unknown at submission (no reply is sent, but the
-	// apply still integrates into the reply cache).
-	hasClient bool
-	addr      string
-	session   crypto.SessionKey
-	useMAC    bool
+	// Client snapshot for off-loop reply sealing.
+	addr    string
+	session crypto.SessionKey
+	useMAC  bool
+	// head and next chain the span's applies whose replies leave in one
+	// envelope (sendReplyGroup): a signed reply joins the other signed
+	// replies to its client in the span, in submission order; a MAC reply
+	// is a group of one. head is the group's first apply, nil when the
+	// client was unknown at submission (no reply is sent, but the apply
+	// still integrates into the reply cache); next is nil on the last.
+	head, next *pendingApply
 }
 
 // shardKeys asks the application for an operation's conflict keyset. The
@@ -264,10 +270,19 @@ func (r *Replica) submitRequest(req *wire.Request, nd NonDetValues, tentative bo
 		pa.rep.Flags |= wire.FlagTentative
 	}
 	if client := r.nodes.get(req.ClientID); client != nil {
-		pa.hasClient = true
 		pa.addr = client.Addr
 		pa.session = client.Session
 		pa.useMAC = r.cfg.Opts.UseMACs && client.HasSession
+		pa.head = pa
+		if !pa.useMAC {
+			// A signature costs tens of microseconds, a MAC about one: only
+			// signed replies are worth holding back for their siblings.
+			if prev := r.replyTails[req.ClientID]; prev != nil {
+				prev.next = pa
+				pa.head = prev.head
+			}
+			r.replyTails[req.ClientID] = pa
+		}
 	}
 	op := req.Op
 	rec := r.rec
@@ -284,25 +299,64 @@ func (r *Replica) submitRequest(req *wire.Request, nd NonDetValues, tentative bo
 	r.applyQueue = append(r.applyQueue, pa)
 }
 
-// sealAndSendReply finishes one apply's reply — fill in the result, seal,
-// ship — in submission order relative to its span. Safe off the protocol
-// loop: it touches only the submission-time snapshot in pa, immutable
-// replica material (id, key pair) and the thread-safe connection. The
-// sealed form and payload scratch go back to the arena immediately (the
-// cached reply for retransmission is the *wire.Reply, not its wire form).
-func (r *Replica) sealAndSendReply(pa *pendingApply) {
-	pa.rep.Result = pa.result
-	if !pa.hasClient {
-		return
+// sendSpanReplies finishes one span's replies in submission order: wait for
+// each apply's task, fill in its result, and send every reply group whose
+// last apply this is. A MAC reply therefore leaves the moment it is ready;
+// a signed one waits for its client's last apply in the span and leaves
+// with it, one signature for the lot. Safe off the protocol loop: it
+// touches only the submission-time snapshots in applies, immutable replica
+// material (id, key pair, options) and the thread-safe connection.
+func (r *Replica) sendSpanReplies(applies []*pendingApply) {
+	for _, pa := range applies {
+		// The task's done channel is the happens-before edge publishing
+		// the shard worker's result write (already closed after WaitIdle).
+		<-pa.task.Done()
+		pa.rep.Result = pa.result
+		if pa.head != nil && pa.next == nil {
+			r.sendReplyGroup(pa.head)
+		}
 	}
-	if r.rec != nil {
-		// pa.req may already be nil by integrateSpan; the reply carries
-		// the request identity, so key the timeline off it.
-		r.rec.Stamp(pa.rep.ClientID, pa.rep.Timestamp, trace.ReplySealed)
-	}
-	r.sendSealedReply(pa.addr, &pa.rep, pa.session, pa.useMAC)
-	if r.rec != nil {
-		r.rec.Finish(pa.rep.ClientID, pa.rep.Timestamp, trace.ReplySent)
+}
+
+// sendReplyGroup seals and sends the replies chained from head, in order,
+// in as few envelopes as MaxBatchBytes — the datagram bound a pre-prepare
+// obeys — allows: a list is cut before the reply that would take it past
+// the bound, and a reply larger than the bound goes alone. The sealed form
+// and payload scratch go back to the arena at once (the cached reply for
+// retransmission is the *wire.Reply, not its wire form).
+func (r *Replica) sendReplyGroup(head *pendingApply) {
+	limit := r.cfg.Opts.MaxBatchBytes
+	for first := head; first != nil; {
+		n, size := 0, wire.ReplyListHeaderSize
+		end := first
+		for ; end != nil; end = end.next {
+			s := end.rep.EncodedSize()
+			if n > 0 && limit > 0 && size+s > limit {
+				break
+			}
+			n++
+			size += s
+		}
+		pw := wire.GetWriter(size)
+		wire.BeginReplyList(pw, n)
+		for pa := first; pa != end; pa = pa.next {
+			if r.rec != nil {
+				// pa.req may already be nil by integrateSpan; the reply
+				// carries the request identity, so key the timeline off it.
+				r.rec.Stamp(pa.rep.ClientID, pa.rep.Timestamp, trace.ReplySealed)
+			}
+			pa.rep.Encode(pw)
+		}
+		env := r.sealWithSession(wire.MTReply, pw.Bytes(), head.session, head.useMAC)
+		r.sendToAddr(head.addr, env)
+		env.ReleaseRaw()
+		pw.Free()
+		if r.rec != nil {
+			for pa := first; pa != end; pa = pa.next {
+				r.rec.Finish(pa.rep.ClientID, pa.rep.Timestamp, trace.ReplySent)
+			}
+		}
+		first = end
 	}
 }
 
@@ -390,11 +444,13 @@ func (r *Replica) integrateSpan(sp span) {
 		r.stats.Executed++
 		// The reply cache retains rep — and therefore pa — for as long as
 		// the client window does. Drop pa's references to the request
-		// body, the engine task and the log entry so an idle client's
-		// cached reply does not pin a whole batch past checkpoint GC.
+		// body, the engine task, the log entry and its reply group so an
+		// idle client's cached reply does not pin a whole batch past
+		// checkpoint GC.
 		pa.req = nil
 		pa.task = nil
 		pa.e = nil
+		pa.head, pa.next = nil, nil
 	}
 }
 
@@ -412,6 +468,9 @@ func (r *Replica) finishSpan() {
 	}
 	if len(r.applyQueue) == 0 {
 		return
+	}
+	if len(r.replyTails) > 0 {
+		clear(r.replyTails) // reply groups never cross a span
 	}
 	var fp *flushPoint
 	if r.flusher != nil {
@@ -450,9 +509,7 @@ func (r *Replica) reapSpanInPlace(fp *flushPoint) {
 	if fp != nil {
 		r.runPersist(fp)
 	}
-	for _, pa := range r.applyQueue {
-		r.sealAndSendReply(pa)
-	}
+	r.sendSpanReplies(r.applyQueue)
 	r.integrateSpan(span{applies: r.applyQueue})
 	clear(r.applyQueue) // release the reaped span's requests and tasks
 	r.applyQueue = r.applyQueue[:0]

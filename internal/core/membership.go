@@ -68,7 +68,7 @@ func (r *Replica) onJoinRequest(env *wire.Envelope, req *wire.Request) {
 		}
 	case wire.JoinPhaseResponse:
 		if cached := r.joinReplies[pkKey]; cached != nil && cached.rep.Timestamp == req.Timestamp {
-			r.sendToAddr(cached.addr, r.sealSigned(wire.MTReply, cached.rep.Marshal()))
+			r.sendSealedReply(cached.addr, cached.rep, crypto.SessionKey{}, false)
 			return
 		}
 	}
@@ -243,8 +243,7 @@ func (r *Replica) execJoinResponse(req *wire.Request, op *wire.JoinOp, nd NonDet
 			r.joinReplies = make(map[string]*joinReply)
 		}
 		r.joinReplies[key] = &joinReply{rep: rep, addr: addr}
-		env := r.sealSigned(wire.MTReply, rep.Marshal())
-		r.sendToAddr(addr, env)
+		r.sendSealedReply(addr, rep, crypto.SessionKey{}, false)
 	}
 	return rep
 }

@@ -7,10 +7,10 @@ import "sync"
 // unfinished applies (the applyQueue of one tryExecute pass) and returns
 // to agreement work immediately; the reaper goroutine waits for each
 // span's engine tasks in submission order, makes the span's flush point
-// durable (see flushPoint), seals and sends the replies — still strictly
-// in sequence order, from state snapshotted at submission —
-// and hands the span back for loop-side integration (reply cache, stats,
-// client liveness).
+// durable (see flushPoint), seals and sends the replies — still in
+// sequence order per client, from state snapshotted at submission (see
+// sendSpanReplies) — and hands the span back for loop-side integration
+// (reply cache, stats, client liveness).
 //
 // Integration is the only part that touches loop-owned state, and it runs
 // only on the protocol loop: opportunistically when the reaper's notify
@@ -115,8 +115,8 @@ func (rp *reaper) drain(integrate func(span)) {
 	rp.mu.Unlock()
 }
 
-// run is the reaper goroutine: wait each span's tasks in submission
-// order, send its replies, hand it back.
+// run is the reaper goroutine: send each span's replies as its tasks
+// finish, hand it back.
 func (rp *reaper) run() {
 	defer rp.wg.Done()
 	for {
@@ -139,12 +139,7 @@ func (rp *reaper) run() {
 			<-sp.flush.task.Done()
 			rp.r.runPersist(sp.flush)
 		}
-		for _, pa := range sp.applies {
-			// The task's done channel is the happens-before edge
-			// publishing the shard worker's result write.
-			<-pa.task.Done()
-			rp.r.sealAndSendReply(pa)
-		}
+		rp.r.sendSpanReplies(sp.applies)
 
 		rp.mu.Lock()
 		rp.done = append(rp.done, sp)

@@ -88,9 +88,10 @@ type Replica struct {
 	pendingQueue    []*wire.Request
 	primaryQueued   map[uint32]map[uint64]bool
 	pendingSeen     map[reqKey]pendingReq
-	pendingPerCli   map[uint32]int  // pendingSeen entries per client, at most ClientWindow
-	applyQueue      []*pendingApply // submitted to the engine, not yet reaped
-	executing       bool            // tryExecute reentrancy guard
+	pendingPerCli   map[uint32]int           // pendingSeen entries per client, at most ClientWindow
+	applyQueue      []*pendingApply          // submitted to the engine, not yet reaped
+	replyTails      map[uint32]*pendingApply // per client, the last signed-reply apply in applyQueue
+	executing       bool                     // tryExecute reentrancy guard
 
 	ckpts        map[uint64]*ckptRecord
 	stableProof  [][]byte
@@ -333,6 +334,7 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 		primaryQueued: make(map[uint32]map[uint64]bool),
 		pendingSeen:   make(map[reqKey]pendingReq),
 		pendingPerCli: make(map[uint32]int),
+		replyTails:    make(map[uint32]*pendingApply),
 		heard:         make([]time.Time, cfg.N()),
 		ckpts:         make(map[uint64]*ckptRecord),
 		pendingJoins:  make(map[string]*pendingJoin),

@@ -626,12 +626,22 @@ func TestAdversarySlowlorisClient(t *testing.T) {
 			t.Fatalf("inc %d = %d under slowloris pressure", i, got)
 		}
 	}
-	var malformed uint64
-	for _, r := range c.Replicas {
-		malformed += r.Info().Stats.DroppedMalformed
-	}
-	if malformed == 0 {
-		t.Fatal("slowloris trickle was never counted as malformed drops")
+	// The trickle starts on the attacker's first tick and the ten calls
+	// may finish before any of it arrives: what is under test is that
+	// the trickle gets counted, not when.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var malformed uint64
+		for _, r := range c.Replicas {
+			malformed += r.Info().Stats.DroppedMalformed
+		}
+		if malformed > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slowloris trickle was never counted as malformed drops")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -238,7 +238,7 @@ func UnmarshalEnvelopeInto(e *Envelope, b []byte) error {
 		e.Reset()
 		return err
 	}
-	if e.Type == MTInvalid || e.Type > MTStatus {
+	if e.Type == MTInvalid || e.Type >= mtLimit {
 		t := e.Type
 		e.Reset()
 		return fmt.Errorf("wire: unknown message type %d", t)

@@ -152,6 +152,61 @@ func UnmarshalReply(b []byte) (*Reply, error) {
 	return &m, nil
 }
 
+// replyFixedSize is the length of a Reply's wire form without its Result:
+// View, Timestamp, ClientID, Replica, Flags and the Result length prefix.
+const replyFixedSize = 8 + 8 + 4 + 4 + 1 + 4
+
+// EncodedSize returns the length of the Reply's wire form.
+func (m *Reply) EncodedSize() int { return replyFixedSize + len(m.Result) }
+
+// An MTReply payload is a reply list: a 4-byte count, then that many Reply
+// records. A replica's signed replies to one client from one execution
+// span travel as one list under one signature; every other reply is a
+// list of one.
+
+// ReplyListHeaderSize is the length of a reply list's count prefix.
+const ReplyListHeaderSize = 4
+
+// BeginReplyList starts a reply list of n records in w; the caller then
+// encodes exactly n replies with Reply.Encode.
+func BeginReplyList(w *Writer, n int) { w.U32(uint32(n)) }
+
+// MarshalReplyList returns the reply list carrying reps, in order.
+func MarshalReplyList(reps ...*Reply) []byte {
+	size := ReplyListHeaderSize
+	for _, rep := range reps {
+		size += rep.EncodedSize()
+	}
+	w := NewWriter(size)
+	BeginReplyList(w, len(reps))
+	for _, rep := range reps {
+		rep.Encode(w)
+	}
+	return w.Bytes()
+}
+
+// UnmarshalReplyList parses a reply list. Every Result is a copy, so the
+// replies outlive b. A count the remaining bytes cannot hold is rejected
+// before anything is allocated for it.
+func UnmarshalReplyList(b []byte) ([]Reply, error) {
+	r := NewReader(b)
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > r.Remaining()/replyFixedSize {
+		return nil, ErrTruncated
+	}
+	reps := make([]Reply, n)
+	for i := range reps {
+		reps[i].Decode(r)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return reps, nil
+}
+
 // BatchEntry is one request inside a pre-prepare. For "big" requests the
 // primary forwards only identifying metadata plus the digest; otherwise it
 // embeds the full request body.

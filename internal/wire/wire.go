@@ -37,6 +37,11 @@ const (
 	MTStateNode    MsgType = 12
 	MTStatePage    MsgType = 13
 	MTStatus       MsgType = 14
+
+	// mtLimit is one past the highest defined type; the envelope decoder
+	// rejects it and everything above. A new type takes its number and
+	// moves it up.
+	mtLimit MsgType = 15
 )
 
 // String returns the conventional PBFT name of the message type.

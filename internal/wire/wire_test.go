@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,68 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 	if !got.Tentative() {
 		t.Fatal("tentative flag lost")
+	}
+}
+
+// TestReplyListRoundTrip: a reply list is a count followed by the replies'
+// standalone wire forms, unchanged — the checkpoint metadata's canonical
+// reply form is built from Reply.Marshal, so a list must not alter it.
+func TestReplyListRoundTrip(t *testing.T) {
+	a := Reply{View: 3, Timestamp: 9, ClientID: 12, Replica: 2, Flags: FlagTentative, Result: []byte("ok")}
+	b := Reply{View: 3, Timestamp: 10, ClientID: 12, Replica: 2}
+	one := MarshalReplyList(&a)
+	if want := append([]byte{0, 0, 0, 1}, a.Marshal()...); !bytes.Equal(one, want) {
+		t.Fatalf("list of one = %x, want count 1 + Reply.Marshal = %x", one, want)
+	}
+	if a.EncodedSize() != len(a.Marshal()) {
+		t.Fatalf("EncodedSize %d, Marshal %d bytes", a.EncodedSize(), len(a.Marshal()))
+	}
+	for _, reps := range [][]*Reply{{}, {&a}, {&a, &b}, {&b, &a, &b}} {
+		got, err := UnmarshalReplyList(MarshalReplyList(reps...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(reps) {
+			t.Fatalf("%d replies back, want %d", len(got), len(reps))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], *reps[i]) {
+				t.Fatalf("reply %d: got %+v want %+v", i, got[i], *reps[i])
+			}
+		}
+	}
+	two := MarshalReplyList(&a, &b)
+	for i := 0; i < len(two); i++ {
+		if _, err := UnmarshalReplyList(two[:i]); err == nil {
+			t.Fatalf("truncation to %d bytes must fail", i)
+		}
+	}
+	if _, err := UnmarshalReplyList(append(two, 0)); err == nil {
+		t.Fatal("trailing bytes must fail")
+	}
+}
+
+// TestMsgTypesDecodeAndName: every defined message type survives an
+// envelope round trip and has a name, and the first number above them is
+// rejected and unnamed — so a type added without moving the decoder's
+// bound fails here instead of being dropped on the wire.
+func TestMsgTypesDecodeAndName(t *testing.T) {
+	for mt := MTRequest; mt < mtLimit; mt++ {
+		raw := (&Envelope{Type: mt, Sender: 1, Payload: []byte("p"), Kind: AuthNone}).Marshal()
+		got, err := UnmarshalEnvelope(raw)
+		if err != nil || got.Type != mt {
+			t.Fatalf("type %d: decoded %+v, err %v", mt, got, err)
+		}
+		if name := mt.String(); strings.HasPrefix(name, "msgtype(") {
+			t.Fatalf("type %d has no name (%s)", mt, name)
+		}
+	}
+	if name := mtLimit.String(); !strings.HasPrefix(name, "msgtype(") {
+		t.Fatalf("type %d is named %q but lies at the decoder's bound", mtLimit, name)
+	}
+	raw := (&Envelope{Type: mtLimit, Sender: 1, Kind: AuthNone}).Marshal()
+	if _, err := UnmarshalEnvelope(raw); err == nil {
+		t.Fatalf("type %d must be rejected", mtLimit)
 	}
 }
 
@@ -337,6 +400,14 @@ func TestDecodersRejectHostileLengths(t *testing.T) {
 	r := NewReader(w2.Bytes())
 	if r.Bytes32() != nil || r.Err() == nil {
 		t.Fatal("hostile byte length must be rejected")
+	}
+
+	// A reply list claiming more records than its bytes could hold.
+	w3 := NewWriter(64)
+	w3.U32(0xFFFFFFFF)
+	(&Reply{Result: []byte("x")}).Encode(w3)
+	if _, err := UnmarshalReplyList(w3.Bytes()); err == nil {
+		t.Fatal("hostile reply count must be rejected")
 	}
 }
 
