@@ -1,9 +1,4 @@
-// Allocation-counting benchmarks: the guard rail of the hot-path memory
-// discipline (pooled writers, sealed-envelope release-after-send, pooled
-// HMAC states, single-copy transport fan-out). Run with -benchmem; CI
-// additionally asserts a hard allocs/op budget via TestAllocBudget so a
-// regression fails the build instead of rotting silently.
-package repro
+package harness
 
 import (
 	"context"
@@ -14,20 +9,22 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/harness"
 )
 
-// runAllocsWorkload drives b.N requests through the canonical 16×1
-// pipeline path (16 closed-loop clients, depth 1 — the BenchmarkPipeline
-// configuration the perf trajectory tracks) and reports allocations.
-func runAllocsWorkload(b *testing.B) {
+// BenchmarkAllocs measures whole-system allocations per request on the
+// 16×1 pipeline path: 16 closed-loop clients at depth 1 on the default
+// configuration (sta_mac_allbig_batch), 1 KiB echo. Every goroutine
+// counts: clients, ingress verifiers, protocol loops, exec shards,
+// reapers, the simulated network. It is the guard rail of the hot-path
+// memory discipline (pooled writers, sealed-envelope release-after-send,
+// pooled HMAC states, single-copy transport fan-out).
+func BenchmarkAllocs(b *testing.B) {
 	const inflight = 16
-	lc := harness.Table1Configs()[0] // sta_mac_allbig_batch, the default
-	c, err := harness.NewCluster(harness.ClusterOptions{
-		Opts:       harness.BenchOptionsFor(lc),
+	c, err := NewCluster(ClusterOptions{
+		Opts:       BenchOptionsFor(LibConfig{Static: true, MACs: true, AllBig: true, Batch: true}),
 		NumClients: inflight,
 		Seed:       42,
-		App:        harness.NewEchoFactory(1024),
+		App:        NewEchoFactory(1024),
 		Bandwidth:  938e6 / 8,
 	})
 	if err != nil {
@@ -70,16 +67,6 @@ func runAllocsWorkload(b *testing.B) {
 	if failed.Load() {
 		b.Fatal("invoke failed")
 	}
-}
-
-// BenchmarkAllocs measures whole-system allocations per request on the
-// 16×1 pipeline path (every goroutine counts: clients, ingress verifiers,
-// protocol loops, exec shards, reapers, the simulated network).
-//
-// Trajectory (1-CPU dev container, min of 3): PR 4 baseline 356 allocs/op
-// / 99152 B/op; PR 5 (pooled memory) 147 allocs/op / 48050 B/op.
-func BenchmarkAllocs(b *testing.B) {
-	runAllocsWorkload(b)
 }
 
 // TestAllocBudget is the CI assertion behind BenchmarkAllocs: it fails

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/state"
+	"repro/sqlstate"
 )
 
 // EchoApp is the null-operation service used by the paper's §4.1
@@ -171,4 +173,26 @@ func (a *AuthCounterApp) Authorize(appAuth []byte) (string, bool) {
 // NewAuthCounterFactory builds an AuthCounterApp per replica.
 func NewAuthCounterFactory() AppFactory {
 	return func(uint32) core.Application { return &AuthCounterApp{} }
+}
+
+// VotesSchema is the §4.2 e-voting table the SQL application initializes.
+var VotesSchema = []string{
+	"CREATE TABLE IF NOT EXISTS votes (voter TEXT, vote TEXT, ts INTEGER, rnd INTEGER)",
+}
+
+// NewSQLFactory builds the replicated SQL application per replica
+// (§3.2): durable selects ACID mode; diskRoot hosts journals and disk
+// images (one subdirectory per replica).
+func NewSQLFactory(durable bool, diskRoot string) AppFactory {
+	return func(id uint32) core.Application {
+		diskDir := ""
+		if diskRoot != "" {
+			diskDir = fmt.Sprintf("%s/replica-%d", diskRoot, id)
+		}
+		return sqlstate.NewApp(sqlstate.Options{
+			DiskDir: diskDir,
+			Durable: durable,
+			InitSQL: VotesSchema,
+		})
+	}
 }

@@ -1,7 +1,8 @@
 // Package harness assembles in-process PBFT clusters over the simulated
-// network, generates workloads, and regenerates the paper's tables and
-// figures (§4). It is the engine behind cmd/pbft-bench, the root-level
-// benchmarks, and the integration tests.
+// network: replicas, pre-provisioned and dynamic clients, the test
+// applications, and partitioned multi-group deployments. The integration
+// tests drive it directly; the benchmark (bench/) builds its clusters
+// through it.
 package harness
 
 import (
@@ -30,7 +31,7 @@ type ClusterOptions struct {
 	Seed       int64
 	App        AppFactory
 	// Bandwidth models per-node egress speed in bytes/second
-	// (0 = infinite). The experiments use the paper's measured
+	// (0 = infinite). The benchmark uses the paper's measured
 	// 938 Mbit/s.
 	Bandwidth float64
 	// Tracer, when set, builds one event tracer per replica (a factory
@@ -43,11 +44,6 @@ type ClusterOptions struct {
 	// that replica untraced). Restarted replicas get a fresh factory
 	// call, so a recorder never spans two replica incarnations.
 	Recorder func(replica uint32) *trace.Recorder
-	// ClientRecvBuffer sizes each client endpoint's inbound queue
-	// (0 = the transport default). The swarm experiment runs thousands
-	// of client endpoints; the default full-size queue per endpoint
-	// would cost gigabytes of eagerly allocated channel buffers.
-	ClientRecvBuffer int
 	// DataDir makes every replica durable: replica id persists under
 	// DataDir/replica-<id> (WAL-backed pages + manifest). The directory
 	// survives StopReplica/RestartReplica, so a restarted replica
@@ -58,6 +54,29 @@ type ClusterOptions struct {
 	// is built — for the purely local knobs (AsyncReap, ExecShards) the
 	// determinism suites mix within one cluster.
 	LocalOpts func(replica uint32, o *core.Options)
+}
+
+// LibConfig names one library configuration of the paper's Table 1.
+type LibConfig struct {
+	Static bool // static client management ("sta"/"nosta")
+	MACs   bool // authenticators ("mac"/"nomac")
+	AllBig bool // all requests treated as big ("allbig"/"noallbig")
+	Batch  bool // request batching ("batch"/"nobatch")
+}
+
+// BenchOptionsFor maps a LibConfig onto library options; the benchmark
+// (bench/) builds its Table 1 workloads through it.
+func BenchOptionsFor(lc LibConfig) core.Options {
+	o := core.DefaultOptions()
+	o.UseMACs = lc.MACs
+	o.AllBig = lc.AllBig
+	o.Batching = lc.Batch
+	o.DynamicClients = !lc.Static
+	o.CheckpointInterval = 64
+	o.StateSize = 8 << 20
+	o.ViewChangeTimeout = 5 * time.Second
+	o.RequestTimeout = time.Second
+	return o
 }
 
 // Cluster is an in-process PBFT deployment: N replicas and a set of
@@ -75,7 +94,6 @@ type Cluster struct {
 	tracerFor   func(replica uint32) core.Tracer
 	recorderFor func(replica uint32) *trace.Recorder
 	rng         *rand.Rand
-	clientRecv  int    // client endpoint inbound queue depth (0 = default)
 	dataDir     string // durable root; "" = diskless
 	localOpts   func(replica uint32, o *core.Options)
 }
@@ -98,7 +116,6 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 		tracerFor:   o.Tracer,
 		recorderFor: o.Recorder,
 		rng:         rand.New(rand.NewSource(o.Seed + 1)),
-		clientRecv:  o.ClientRecvBuffer,
 		dataDir:     o.DataDir,
 		localOpts:   o.LocalOpts,
 	}
@@ -236,7 +253,7 @@ func (c *Cluster) RestartReplica(id uint32) error {
 }
 
 // ReplicaDataDir returns replica id's durable directory ("" when the
-// cluster is diskless). Chaos scenarios use it to corrupt on-disk
+// cluster is diskless). Durability tests use it to corrupt on-disk
 // state between incarnations (kill -9 mid-WAL-append).
 func (c *Cluster) ReplicaDataDir(id uint32) string {
 	if c.dataDir == "" {
@@ -248,7 +265,7 @@ func (c *Cluster) ReplicaDataDir(id uint32) string {
 // Client builds the i-th pre-provisioned client. The caller owns it (and
 // must Close it).
 func (c *Cluster) Client(i int, opts ...client.Option) (*client.Client, error) {
-	conn, err := c.Net.ListenBuffered(ClientAddr(i), c.clientRecv)
+	conn, err := c.Net.Listen(ClientAddr(i))
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +282,7 @@ func (c *Cluster) Client(i int, opts ...client.Option) (*client.Client, error) {
 // StartAdversary. The client runs unmodified library code; the wrapper
 // tampers with its traffic on the way out (equivocation, replay, drops).
 func (c *Cluster) AdversaryClient(i int, wrap func(transport.Conn) transport.Conn, opts ...client.Option) (*client.Client, error) {
-	mc, err := c.Net.ListenBuffered(ClientAddr(i), c.clientRecv)
+	mc, err := c.Net.Listen(ClientAddr(i))
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +362,7 @@ func (c *Cluster) Stop() {
 // scheduled by the protocol loop AND applied by the execution engine
 // (with asynchronous reaping, LastExec advances at scheduling time, so a
 // quiesced engine is what makes direct region reads race-free), or
-// the timeout expires; it returns the highest LastExec seen per replica.
+// the timeout expires. It reports whether every live replica got there.
 func (c *Cluster) WaitConverged(seq uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -139,11 +139,14 @@ func TestDurableRestartDeltaTransfer(t *testing.T) {
 // more than f failures, beyond the BFT fault model, survivable only
 // because state is on disk — while load is in flight, restarts them
 // all, and requires the group to resume committing from its durable
-// checkpoints with byte-identical stable digests.
+// checkpoints with byte-identical stable digests. The storm runs twice
+// back to back on one cluster: the second storm recovers from manifests
+// written after the first.
 func TestDurableRestartStormSimultaneous(t *testing.T) {
+	const storms = 2
 	c, err := NewCluster(ClusterOptions{
 		Opts:       fastOpts(),
-		NumClients: 3,
+		NumClients: 1 + 2*storms,
 		Seed:       202,
 		App:        NewCounterFactory(),
 		DataDir:    t.TempDir(),
@@ -160,63 +163,72 @@ func TestDurableRestartStormSimultaneous(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		invokeMust(t, cl, fmt.Sprintf("bump key-%d", i))
 	}
-	// Every replica must have a manifest on disk before the storm.
-	for id := uint32(0); id < 4; id++ {
-		waitReplicaStable(t, c, id, 32, 10*time.Second)
-	}
 
-	// Background load so the kill lands mid-traffic: requests are in
-	// flight (some committed above the stable checkpoint, some not)
-	// at the crash point.
-	loader, err := c.Client(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ctx.Err() == nil {
-			cctx, ccancel := context.WithTimeout(ctx, time.Second)
-			_, _ = loader.Invoke(cctx, []byte("bump storm"))
-			ccancel()
+	stable := uint64(32)
+	for storm := 1; storm <= storms; storm++ {
+		// Every replica must have a manifest on disk before the storm.
+		for id := uint32(0); id < 4; id++ {
+			waitReplicaStable(t, c, id, stable, 10*time.Second)
 		}
-	}()
-	time.Sleep(200 * time.Millisecond)
-	for id := uint32(0); id < 4; id++ {
-		c.StopReplica(id)
-	}
-	cancel()
-	wg.Wait()
-	loader.Close()
 
-	for id := uint32(0); id < 4; id++ {
-		if err := c.RestartReplica(id); err != nil {
-			t.Fatalf("restart replica %d: %v", id, err)
+		// Background load so the kill lands mid-traffic: requests are in
+		// flight (some committed above the stable checkpoint, some not)
+		// at the crash point.
+		loader, err := c.Client(2*storm - 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A fresh client: its wall-clock timestamps land above the dedup
-	// windows the replicas recovered from their manifests.
-	cl2, err := c.Client(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	for i := 0; i < 24; i++ {
-		invokeMust(t, cl2, fmt.Sprintf("bump post-%d", i))
-	}
-	waitStableDigests(t, c, []uint32{0, 1, 2, 3}, 40, 30*time.Second)
-	for id := uint32(0); id < 4; id++ {
-		st := c.Replicas[id].Info().Stats
-		if !st.DurableNow {
-			t.Fatalf("replica %d lost its data dir across the storm", id)
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				cctx, ccancel := context.WithTimeout(ctx, time.Second)
+				_, _ = loader.Invoke(cctx, []byte("bump storm"))
+				ccancel()
+			}
+		}()
+		time.Sleep(200 * time.Millisecond)
+		for id := uint32(0); id < 4; id++ {
+			c.StopReplica(id)
 		}
-		if st.Restarts != 1 {
-			t.Fatalf("replica %d reports %d manifest recoveries, want 1", id, st.Restarts)
+		cancel()
+		wg.Wait()
+		loader.Close()
+
+		for id := uint32(0); id < 4; id++ {
+			if err := c.RestartReplica(id); err != nil {
+				t.Fatalf("storm %d: restart replica %d: %v", storm, id, err)
+			}
 		}
-		if st.PersistErrors != 0 {
-			t.Fatalf("replica %d latched %d persist errors", id, st.PersistErrors)
+		// A fresh client: its wall-clock timestamps land above the dedup
+		// windows the replicas recovered from their manifests.
+		post, err := c.Client(2 * storm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 24; i++ {
+			invokeMust(t, post, fmt.Sprintf("bump post-%d-%d", storm, i))
+		}
+		post.Close()
+		waitStableDigests(t, c, []uint32{0, 1, 2, 3}, stable+8, 30*time.Second)
+		// The next storm waits only for the checkpoint every replica has
+		// reached; one replica can already stand a checkpoint further.
+		stable = ^uint64(0)
+		for id := uint32(0); id < 4; id++ {
+			info := c.Replicas[id].Info()
+			stable = min(stable, info.LastStable)
+			st := info.Stats
+			if !st.DurableNow {
+				t.Fatalf("replica %d lost its data dir across storm %d", id, storm)
+			}
+			if st.Restarts != uint64(storm) {
+				t.Fatalf("replica %d reports %d manifest recoveries after storm %d, want %d", id, st.Restarts, storm, storm)
+			}
+			if st.PersistErrors != 0 {
+				t.Fatalf("replica %d latched %d persist errors", id, st.PersistErrors)
+			}
 		}
 	}
 }

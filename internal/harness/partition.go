@@ -1,16 +1,12 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/partition"
-	"repro/internal/transport"
 )
 
 // PartitionedClusterOptions configures a multi-group deployment: G
@@ -34,19 +30,6 @@ type PartitionedClusterOptions struct {
 	// Keys is the placement keyset function installed in the router —
 	// the same Sharder-shaped keysets the exec engine uses.
 	Keys partition.KeysFunc
-	// Bandwidth models per-node egress in bytes/second (0 = infinite).
-	Bandwidth float64
-	// LinkDelay adds a symmetric per-message latency inside each group's
-	// network, modeling the LAN the paper measures instead of the
-	// zero-latency in-process transport (where a 1-CPU host would make
-	// every group's agreement round contend on compute instead of
-	// waiting on links, hiding the scaling partitioning buys).
-	LinkDelay time.Duration
-	// Tracer, when set, builds one event tracer per (group, replica).
-	Tracer func(group int, replica uint32) core.Tracer
-	// RouterOpts configure the shared router (home group, reject
-	// policy).
-	RouterOpts []partition.RouterOption
 }
 
 // PartitionedCluster is G independent in-process PBFT groups — separate
@@ -64,31 +47,21 @@ func NewPartitionedCluster(o PartitionedClusterOptions) (*PartitionedCluster, er
 	if o.Groups < 1 {
 		return nil, fmt.Errorf("harness: need at least one group, got %d", o.Groups)
 	}
-	router, err := partition.NewRouter(partition.Uniform(o.Groups), o.Keys, o.RouterOpts...)
+	router, err := partition.NewRouter(partition.Uniform(o.Groups), o.Keys)
 	if err != nil {
 		return nil, err
 	}
 	pc := &PartitionedCluster{router: router}
 	for g := 0; g < o.Groups; g++ {
-		var tracer func(uint32) core.Tracer
-		if o.Tracer != nil {
-			group := g
-			tracer = func(id uint32) core.Tracer { return o.Tracer(group, id) }
-		}
 		c, err := NewCluster(ClusterOptions{
 			Opts:       o.Opts,
 			NumClients: o.ClientsPerGroup,
 			Seed:       o.Seed + int64(g)*7919,
 			App:        o.App,
-			Bandwidth:  o.Bandwidth,
-			Tracer:     tracer,
 		})
 		if err != nil {
 			pc.Stop()
 			return nil, fmt.Errorf("harness: group %d: %w", g, err)
-		}
-		if o.LinkDelay > 0 {
-			c.Net.SetDefaultFaults(transport.Faults{Delay: o.LinkDelay})
 		}
 		pc.Groups = append(pc.Groups, c)
 	}
@@ -157,308 +130,4 @@ func (pc *PartitionedCluster) ConvergedDigest(g int, minStable uint64, timeout t
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// PartitionedRunResult is one partitioned load run: the aggregate
-// numbers plus the per-group operation tally (how the router spread the
-// workload).
-type PartitionedRunResult struct {
-	RunResult
-	// GroupOps counts operations completed per group.
-	GroupOps []uint64
-}
-
-// RunPartitioned drives numClients partitioned clients, each keeping
-// depth requests in flight, against the whole deployment. Sessions are
-// primed first (one fan-out read per client, so every client holds a
-// live MAC session with every group before the clock starts — the first
-// write racing its own HELLO through the concurrent ingress pipeline
-// would otherwise wedge replicas on missing request bodies), the
-// workload then runs unmeasured for warmup, and only the final duration
-// window is counted. Every operation routes through the partition table;
-// per-group tallies come back in GroupOps.
-func (pc *PartitionedCluster) RunPartitioned(numClients, depth int, w Workload, warmup, duration time.Duration) (PartitionedRunResult, error) {
-	if depth < 1 {
-		depth = 1
-	}
-	clients := make([]*partition.Client, numClients)
-	for i := 0; i < numClients; i++ {
-		cl, err := pc.Client(i, client.WithPipelineDepth(depth))
-		if err != nil {
-			for _, done := range clients[:i] {
-				_ = done.Close()
-			}
-			return PartitionedRunResult{}, err
-		}
-		clients[i] = cl
-	}
-	defer func() {
-		for _, cl := range clients {
-			_ = cl.Close()
-		}
-	}()
-	if err := primeSessions(clients); err != nil {
-		return PartitionedRunResult{}, err
-	}
-
-	var ops, errs atomic.Uint64
-	groupOps := make([]atomic.Uint64, pc.router.Groups())
-	var measuring atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, cl := range clients {
-		for d := 0; d < depth; d++ {
-			wg.Add(1)
-			go func(i, d int, cl *partition.Client) {
-				defer wg.Done()
-				for n := d; ; n += depth {
-					if ctx.Err() != nil {
-						return
-					}
-					op := w.Op(i, n)
-					g, err := cl.Router().Route(op)
-					if err != nil {
-						errs.Add(1)
-						continue
-					}
-					resp, err := cl.Invoke(ctx, op)
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						errs.Add(1)
-						continue
-					}
-					if err := w.Check(resp); err != nil {
-						errs.Add(1)
-						continue
-					}
-					if measuring.Load() {
-						ops.Add(1)
-						groupOps[g].Add(1)
-					}
-				}
-			}(i, d, cl)
-		}
-	}
-	time.Sleep(warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(duration)
-	elapsed := time.Since(start)
-	cancel()
-	wg.Wait()
-	res := PartitionedRunResult{
-		RunResult: RunResult{Ops: ops.Load(), Duration: elapsed, Errors: errs.Load()},
-		GroupOps:  make([]uint64, len(groupOps)),
-	}
-	for g := range groupOps {
-		res.GroupOps[g] = groupOps[g].Load()
-	}
-	return res, nil
-}
-
-// primeSessions issues one unkeyed fan-out read per client, retrying
-// until every group answered: afterwards each session holds established
-// MAC keys on every replica, so measured writes cannot race their own
-// session establishment.
-func primeSessions(clients []*partition.Client) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	errs := make([]error, len(clients))
-	var wg sync.WaitGroup
-	for i, cl := range clients {
-		wg.Add(1)
-		go func(i int, cl *partition.Client) {
-			defer wg.Done()
-			for {
-				if _, err := cl.FanOutReadOnly(ctx, []byte("get")); err == nil {
-					return
-				} else if ctx.Err() != nil {
-					errs[i] = fmt.Errorf("harness: priming client %d: %w", i, err)
-					return
-				}
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Converge drives every group to a fresh stable checkpoint after a load
-// run and waits until all of its replicas report byte-identical
-// StableDigest there, returning the per-group digests. The flush
-// traffic (flushOp must be an op the application accepts) pushes each
-// group past its next checkpoint boundary so that even a replica wedged
-// on a missing request body catches up via state transfer — convergence
-// is asserted over every replica, not a quorum.
-func (pc *PartitionedCluster) Converge(flushOp []byte, timeout time.Duration) ([][32]byte, error) {
-	digests := make([][32]byte, len(pc.Groups))
-	errs := make([]error, len(pc.Groups))
-	var wg sync.WaitGroup
-	for g := range pc.Groups {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			digests[g], errs[g] = pc.convergeGroup(g, flushOp, timeout)
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return digests, nil
-}
-
-func (pc *PartitionedCluster) convergeGroup(g int, flushOp []byte, timeout time.Duration) ([32]byte, error) {
-	c := pc.Groups[g]
-	interval := c.Cfg.Opts.CheckpointInterval
-	var target uint64
-	for _, rep := range c.Replicas {
-		if in := rep.Info(); in.LastExec > target {
-			target = in.LastExec
-		}
-	}
-	target = (target/interval + 1) * interval
-
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	cl, err := c.Client(0)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("harness: group %d flush client: %w", g, err)
-	}
-	defer cl.Close()
-	for {
-		if digest, ok := pc.groupConverged(g, target); ok {
-			return digest, nil
-		}
-		if ctx.Err() != nil {
-			state := make([]string, len(c.Replicas))
-			for i, rep := range c.Replicas {
-				in := rep.Info()
-				state[i] = fmt.Sprintf("r%d exec=%d stable=%d digest=%x", i, in.LastExec, in.LastStable, in.StableDigest[:4])
-			}
-			return [32]byte{}, fmt.Errorf("harness: group %d did not converge at checkpoint %d: %v", g, target, state)
-		}
-		_, _ = cl.Invoke(ctx, flushOp)
-	}
-}
-
-// groupConverged reports whether every replica of group g sits at the
-// same stable checkpoint ≥ target with byte-identical digest.
-func (pc *PartitionedCluster) groupConverged(g int, target uint64) ([32]byte, bool) {
-	c := pc.Groups[g]
-	var first core.Info
-	for i, rep := range c.Replicas {
-		if rep == nil {
-			return [32]byte{}, false
-		}
-		in := rep.Info()
-		if i == 0 {
-			first = in
-		}
-		if in.LastStable < target || in.LastStable != first.LastStable || in.StableDigest != first.StableDigest {
-			return [32]byte{}, false
-		}
-	}
-	return first.StableDigest, true
-}
-
-// DefaultPartitionLinkDelay is the per-message latency the partitions
-// experiment injects inside each group: agreement rounds become
-// link-bound (as on the paper's LAN testbed) so the aggregate-TPS curve
-// measures what partitioning buys, not how many cores the bench host
-// has.
-const DefaultPartitionLinkDelay = 2 * time.Millisecond
-
-// RunPartitions measures the aggregate-TPS-vs-groups scaling curve: the
-// same keyed workload offered to 1, 2, 4... independent groups behind
-// the partition router. The client population scales with the group
-// count (opts.NumClients per group — each partition serves its own
-// users), so the curve answers the capacity question: how much more
-// offered load does the deployment absorb with G groups?
-//
-// After each measured run every group must converge: all four replicas
-// at the same stable checkpoint with byte-identical StableDigest. A
-// non-converged group fails the experiment — this is the digest check
-// the CI partition smoke leans on.
-func RunPartitions(opts ExperimentOptions, groupCounts []int) error {
-	w := opts.out()
-	depth := opts.PipelineDepth
-	if depth < 1 {
-		depth = 1
-	}
-	fmt.Fprintf(w, "Partitioned multi-group scaling — %d clients/group, depth %d, link delay %v\n",
-		opts.NumClients, depth, DefaultPartitionLinkDelay)
-	fmt.Fprintf(w, "%-10s %10s %12s %10s %8s %s\n", "groups", "TPS", "TPS/group", "scaling", "errors", "group ops")
-
-	lc := LibConfig{Name: "partitions", Static: true, MACs: true, AllBig: true, Batch: true}
-	var baseline float64
-	for _, g := range groupCounts {
-		numClients := opts.NumClients * g
-		pc, err := NewPartitionedCluster(PartitionedClusterOptions{
-			Groups:          g,
-			Opts:            buildOptions(lc),
-			ClientsPerGroup: numClients,
-			Seed:            opts.Seed,
-			App:             NewCounterFactory(),
-			Keys:            CounterKeys,
-			Bandwidth:       938e6 / 8,
-			LinkDelay:       DefaultPartitionLinkDelay,
-			Tracer:          partitionTracer(opts),
-		})
-		if err != nil {
-			return err
-		}
-		wl := &KeyedCounterWorkload{}
-		res, err := pc.RunPartitioned(numClients, depth, wl, opts.Warmup, opts.Duration)
-		if err != nil {
-			pc.Stop()
-			return err
-		}
-		if _, err := pc.Converge([]byte("inc flush"), 30*time.Second); err != nil {
-			pc.Stop()
-			return err
-		}
-		pc.Stop()
-
-		tps := res.TPS()
-		if baseline == 0 {
-			baseline = tps
-		}
-		scaling := tps / baseline
-		fmt.Fprintf(w, "%-10d %10.1f %12.1f %9.2fx %8d %v\n",
-			g, tps, tps/float64(g), scaling, res.Errors, res.GroupOps)
-		extra := map[string]float64{
-			"groups":        float64(g),
-			"tps_per_group": tps / float64(g),
-			"scaling_x":     scaling,
-		}
-		for gi, n := range res.GroupOps {
-			extra[fmt.Sprintf("group_%d_ops", gi)] = float64(n)
-		}
-		opts.record("partitions", fmt.Sprintf("groups_%d", g), res.RunResult, extra)
-	}
-	return nil
-}
-
-// partitionTracer adapts the shared experiment tracer to the
-// per-(group, replica) factory shape. A GroupTracer (group-labeling
-// registry) wins over the flat shared Tracer.
-func partitionTracer(opts ExperimentOptions) func(int, uint32) core.Tracer {
-	if opts.GroupTracer != nil {
-		return func(g int, _ uint32) core.Tracer { return opts.GroupTracer(g) }
-	}
-	if opts.Tracer == nil {
-		return nil
-	}
-	return func(int, uint32) core.Tracer { return opts.Tracer }
 }

@@ -3,8 +3,12 @@ package harness
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/partition"
 )
 
 func partitionedCluster(t *testing.T, groups, clients int) *PartitionedCluster {
@@ -111,6 +115,127 @@ func TestPartitionedClusterFanOut(t *testing.T) {
 	}
 	if got := binary.BigEndian.Uint64(resp); got != 0 {
 		t.Fatalf("sibling group %d reads %d, want 0", 1-g, got)
+	}
+}
+
+// TestPartitionedConcurrentRoutedLoad drives keyed load from several
+// partitioned clients at once and checks placement end to end: every
+// key's counter holds exactly its submitted count on the group that owns
+// it and 0 on the sibling, and each group's replicas converge on one
+// stable digest.
+func TestPartitionedConcurrentRoutedLoad(t *testing.T) {
+	const (
+		groups     = 2
+		numClients = 4
+		numKeys    = 8
+		rounds     = 6 // bumps of every key per client
+	)
+	pc := partitionedCluster(t, groups, numClients)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	bump := func(k int) []byte { return []byte(fmt.Sprintf("bump key-%d", k)) }
+	owner := make([]int, numKeys)
+	firstKey := []int{-1, -1} // per group: a key it owns
+	slots := make(map[string]bool)
+	for k := range owner {
+		g, err := pc.Router().Route(bump(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner[k] = g
+		if firstKey[g] < 0 {
+			firstKey[g] = k
+		}
+		// Distinct counter slots, or a sibling's 0 could be another key's
+		// count.
+		slot := string(CounterKeys(bump(k))[0])
+		if slots[slot] {
+			t.Fatalf("key-%d shares a counter slot with another test key", k)
+		}
+		slots[slot] = true
+	}
+	for g, k := range firstKey {
+		if k < 0 {
+			t.Fatalf("no test key routes to group %d", g)
+		}
+	}
+
+	clients := make([]*partition.Client, numClients)
+	for i := range clients {
+		cl, err := pc.Client(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		clients[i] = cl
+	}
+	// Each client's first op on each group is serial, one client at a
+	// time, as in the benchmark's set-up: a first request sent
+	// concurrently with others can race its own session HELLO through
+	// the ingress pipeline, and the replicas that drop it for bad
+	// authentication then wait on a body they never got.
+	submitted := make([]uint64, numKeys)
+	for _, cl := range clients {
+		for _, k := range firstKey {
+			if _, err := cl.Invoke(ctx, bump(k)); err != nil {
+				t.Fatal(err)
+			}
+			submitted[k]++
+		}
+	}
+
+	errs := make(chan error, numClients)
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func(i int, cl *partition.Client) {
+			defer wg.Done()
+			for n := 0; n < rounds*numKeys; n++ {
+				// Clients walk the keyset phase-shifted, so the groups see
+				// interleaved traffic for the same keys from several clients.
+				op := bump((n + 3*i) % numKeys)
+				resp, err := cl.Invoke(ctx, op)
+				if err == nil && string(resp) != "OK" {
+					err = fmt.Errorf("answered %q", resp)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d %q: %w", i, op, err)
+					return
+				}
+			}
+		}(i, cl)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for k := range submitted {
+		submitted[k] += numClients * rounds
+	}
+
+	cl := clients[0]
+	for k, g := range owner {
+		get := []byte(fmt.Sprintf("get key-%d", k))
+		for s := 0; s < groups; s++ {
+			resp, err := cl.Session(s).Invoke(ctx, get)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(0)
+			if s == g {
+				want = submitted[k]
+			}
+			if got := binary.BigEndian.Uint64(resp); got != want {
+				t.Fatalf("key-%d (owned by group %d) reads %d on group %d, want %d", k, g, got, s, want)
+			}
+		}
+	}
+	for g := 0; g < groups; g++ {
+		if _, err := pc.ConvergedDigest(g, 8, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -145,28 +145,3 @@ func TestSQLClusterRestartStateTransfer(t *testing.T) {
 		t.Fatalf("count = %v, want 35", r.Rows.Data)
 	}
 }
-
-func TestExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is slow")
-	}
-	opts := DefaultExperimentOptions()
-	opts.NumClients = 4
-	opts.Duration = 300 * time.Millisecond
-	opts.Warmup = 100 * time.Millisecond
-	opts.RequestSize = 256
-	opts.Out = discard{}
-	if err := RunDynamicOverhead(opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunACIDComparison(opts, t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunLossExperiment(opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

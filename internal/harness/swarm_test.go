@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"context"
 	"encoding/binary"
-	"io"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +22,27 @@ func swarmTestOpts(cap int) core.Options {
 	return o
 }
 
+// swarmSample is one probe of the cluster's session tables.
+type swarmSample struct {
+	sessions  int    // largest live session count over the replicas
+	evictions uint64 // evictions summed over the replicas
+}
+
+// swarmProbe reads the live session counts and eviction counters off the
+// cluster.
+func swarmProbe(c *Cluster) swarmSample {
+	var s swarmSample
+	for _, r := range c.Replicas {
+		if r == nil {
+			continue
+		}
+		info := r.Info()
+		s.sessions = max(s.sessions, info.ClientSessions)
+		s.evictions += info.Stats.SessionsEvicted
+	}
+	return s
+}
+
 // TestSessionEvictionChurn overflows a capped session table with more
 // clients than it can hold and proves the eviction contract: the table
 // never exceeds its cap, evictions actually happen, every operation
@@ -30,6 +53,7 @@ func TestSessionEvictionChurn(t *testing.T) {
 		cap        = 8
 		numClients = 24
 		incs       = 20
+		churnIncs  = 3 // per client incarnation in the concurrent round
 	)
 	c, err := NewCluster(ClusterOptions{
 		Opts:       swarmTestOpts(cap),
@@ -62,6 +86,59 @@ func TestSessionEvictionChurn(t *testing.T) {
 		t.Fatalf("%d clients over a cap of %d must evict, counter is 0", numClients, cap)
 	}
 
+	// Concurrent round: all clients at once, each closing and recreating
+	// itself once (fresh session keys, fresh hello), so admissions and
+	// evictions interleave with requests in flight. A sampler watches the
+	// session tables for the whole round.
+	stop := make(chan struct{})
+	peak := make(chan int, 1)
+	go func() {
+		most := 0
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			most = max(most, swarmProbe(c).sessions)
+			select {
+			case <-stop:
+				peak <- most
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	errs := make(chan error, numClients)
+	var wg sync.WaitGroup
+	for i := 0; i < numClients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for incarnation := 0; incarnation < 2; incarnation++ {
+				cl, err := c.Client(i)
+				if err != nil {
+					errs <- fmt.Errorf("client %d incarnation %d: %w", i, incarnation, err)
+					return
+				}
+				for j := 0; j < churnIncs; j++ {
+					if _, err := cl.Invoke(context.Background(), []byte("inc")); err != nil {
+						errs <- fmt.Errorf("client %d incarnation %d inc %d: %w", i, incarnation, j, err)
+						cl.Close()
+						return
+					}
+				}
+				cl.Close()
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if most := <-peak; most > cap {
+		t.Fatalf("session table reached %d sessions during the concurrent round, cap is %d", most, cap)
+	}
+
 	// Client 0 was evicted long ago. Its increments must still complete
 	// (readmission via hello + retransmission) and land exactly once
 	// despite the retransmissions eviction forces.
@@ -74,73 +151,8 @@ func TestSessionEvictionChurn(t *testing.T) {
 		invokeMust(t, cl, "inc")
 	}
 	resp := invokeMust(t, cl, "get")
-	if got := binary.BigEndian.Uint64(resp); got != incs {
-		t.Fatalf("counter = %d, want %d: increments were dropped or replayed", got, incs)
-	}
-}
-
-// TestSwarmSmoke runs the full swarm experiment at toy scale — both the
-// mem-transport churn phase and the loopback-UDP phase — and checks the
-// recorded rows: zero errors, sessions bounded by the cap, evictions
-// observed, and the syscall counters populated.
-func TestSwarmSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second experiment")
-	}
-	var rows []ExperimentResult
-	opts := ExperimentOptions{
-		Duration:    2 * time.Second,
-		RequestSize: 64,
-		Seed:        7,
-		Out:         io.Discard,
-		Record:      func(r ExperimentResult) { rows = append(rows, r) },
-	}
-	sw := SwarmOptions{
-		Clients:       60,
-		MaxSessions:   40,
-		ChurnEvery:    8,
-		Depth:         1,
-		HelloInterval: 200 * time.Millisecond,
-		UDPClients:    8,
-	}
-	if err := RunSwarm(opts, sw); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("recorded %d rows, want 2 (mem churn + udp loopback)", len(rows))
-	}
-
-	churn := rows[0]
-	if churn.Name != "mem_churn_60c" {
-		t.Fatalf("row 0 = %q, want mem_churn_60c", churn.Name)
-	}
-	if churn.Errors != 0 {
-		t.Fatalf("churn phase: %d client errors (eviction must stall, never fail, an op)", churn.Errors)
-	}
-	if churn.Ops == 0 {
-		t.Fatal("churn phase completed no operations")
-	}
-	if peak := churn.Extra["sessions_peak"]; peak <= 0 || peak > float64(sw.MaxSessions) {
-		t.Fatalf("sessions_peak = %v, want in (0, %d]", peak, sw.MaxSessions)
-	}
-	if churn.Extra["evictions"] == 0 {
-		t.Fatal("60 churning clients over a 40-session cap produced no evictions")
-	}
-
-	udp := rows[1]
-	if udp.Name != "udp_loopback_8c" {
-		t.Fatalf("row 1 = %q, want udp_loopback_8c", udp.Name)
-	}
-	if udp.Errors != 0 {
-		t.Fatalf("udp phase: %d client errors", udp.Errors)
-	}
-	if udp.Ops == 0 {
-		t.Fatal("udp phase completed no operations")
-	}
-	if udp.Extra["syscalls_per_op"] <= 0 {
-		t.Fatal("udp phase recorded no syscalls: batch counters are not wired")
-	}
-	if udp.Extra["recv_batch_occupancy"] < 1 {
-		t.Fatalf("recv occupancy = %v, want >= 1", udp.Extra["recv_batch_occupancy"])
+	want := uint64(numClients*2*churnIncs + incs)
+	if got := binary.BigEndian.Uint64(resp); got != want {
+		t.Fatalf("counter = %d, want %d: increments were dropped or replayed", got, want)
 	}
 }

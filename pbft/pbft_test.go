@@ -29,11 +29,12 @@ func testOptions() Options {
 
 // buildUDPCluster deploys 3f+1 replicas and one client over real UDP
 // sockets on the loopback interface — the original PBFT deployment model.
-func buildUDPCluster(t *testing.T, opts Options) (*Config, []*Replica, *Client) {
+// It returns the replicas' sockets beside the replicas.
+func buildUDPCluster(t *testing.T, opts Options) ([]*UDPConn, []*Replica, *Client) {
 	t.Helper()
 	n := 3*opts.F + 1
 	cfg := &Config{Opts: opts}
-	conns := make([]Conn, n)
+	conns := make([]*UDPConn, n)
 	keys := make([]*KeyPair, n)
 	for i := 0; i < n; i++ {
 		conn, err := ListenUDP("127.0.0.1:0")
@@ -44,7 +45,7 @@ func buildUDPCluster(t *testing.T, opts Options) (*Config, []*Replica, *Client) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		conns[i] = conn
+		conns[i] = conn.(*UDPConn)
 		keys[i] = kp
 		cfg.Replicas = append(cfg.Replicas, NodeInfo{ID: uint32(i), Addr: conn.Addr(), PubKey: kp.Public()})
 	}
@@ -77,13 +78,13 @@ func buildUDPCluster(t *testing.T, opts Options) (*Config, []*Replica, *Client) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cfg, replicas, cl
+	return conns, replicas, cl
 }
 
 func TestUDPClusterEndToEnd(t *testing.T) {
 	// The full stack over real UDP sockets: requests, agreement,
-	// replies, checkpoints.
-	_, replicas, cl := buildUDPCluster(t, testOptions())
+	// replies, checkpoints, and the syscall-batching counters.
+	conns, replicas, cl := buildUDPCluster(t, testOptions())
 	for i := 0; i < 20; i++ {
 		resp, err := cl.Invoke(context.Background(), []byte(fmt.Sprintf("op%d", i)))
 		if err != nil {
@@ -104,6 +105,15 @@ func TestUDPClusterEndToEnd(t *testing.T) {
 				t.Fatalf("replica %d: stable checkpoint stuck at %d", r.ID(), info.LastStable)
 			}
 			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for i, c := range conns {
+		s := c.BatchStats()
+		if s.Syscalls() == 0 {
+			t.Fatalf("replica %d: no syscalls counted; batch counters are not wired", i)
+		}
+		if s.RecvPerCall() < 1 {
+			t.Fatalf("replica %d: %.2f datagrams per receive syscall, want >= 1", i, s.RecvPerCall())
 		}
 	}
 }
