@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -96,6 +97,39 @@ func encodeLeaf(cells []leafCell, next uint32) ([]byte, bool) {
 	return data, true
 }
 
+// leafSearch looks rowid up in a leaf page in place. It walks every
+// cell header, validating the page exactly as decodeLeaf does, and
+// returns the matching cell's payload as a sub-slice of data: the caller
+// copies what it keeps. On a page whose rowids ascend (every page the
+// tree writes) it picks the cell decodeLeaf's binary search would.
+func leafSearch(data []byte, rowid int64) (payload []byte, found bool, err error) {
+	if data[0] != pageLeaf {
+		return nil, false, fmt.Errorf("sqldb: page is not a leaf (type %d)", data[0])
+	}
+	n := int(data[1])<<8 | int(data[2])
+	off := pageHdrSize
+	passed := false // a cell with a rowid >= the target was seen
+	for i := 0; i < n; i++ {
+		if off+leafCellOvh > len(data) {
+			return nil, false, fmt.Errorf("sqldb: corrupt leaf page")
+		}
+		id := int64(getU64(data[off:]))
+		plen := int(data[off+8])<<8 | int(data[off+9])
+		off += leafCellOvh
+		if off+plen > len(data) {
+			return nil, false, fmt.Errorf("sqldb: corrupt leaf cell")
+		}
+		if !passed && id >= rowid {
+			passed = true
+			if id == rowid {
+				payload, found = data[off:off+plen], true
+			}
+		}
+		off += plen
+	}
+	return payload, found, nil
+}
+
 func decodeInterior(data []byte) (cells []intCell, right uint32, err error) {
 	if data[0] != pageInterior {
 		return nil, 0, fmt.Errorf("sqldb: page is not interior (type %d)", data[0])
@@ -115,6 +149,23 @@ func decodeInterior(data []byte) (cells []intCell, right uint32, err error) {
 		off += intCellSize
 	}
 	return cells, right, nil
+}
+
+// interiorChild picks, in place, the child of an interior page covering
+// rowid and its cell index (ncells for the rightmost child): the first
+// cell whose key is >= rowid, found by binary search over the fixed-size
+// cells, else the rightmost child. A cell count that runs past the page
+// gets decodeInterior's error.
+func interiorChild(data []byte, rowid int64) (child uint32, idx int, err error) {
+	n := int(data[1])<<8 | int(data[2])
+	if pageHdrSize+n*intCellSize > len(data) {
+		return 0, 0, fmt.Errorf("sqldb: corrupt interior page")
+	}
+	i := sort.Search(n, func(i int) bool { return rowid <= int64(getU64(data[pageHdrSize+i*intCellSize:])) })
+	if i < n {
+		return getU32(data[pageHdrSize+i*intCellSize+8:]), i, nil
+	}
+	return getU32(data[3:]), n, nil
 }
 
 func encodeInterior(cells []intCell, right uint32) ([]byte, bool) {
@@ -168,7 +219,8 @@ func CreateBTree(pager *Pager) (*BTree, error) {
 // Root returns the root page number.
 func (t *BTree) Root() uint32 { return t.root }
 
-// Get returns the payload stored under rowid.
+// Get returns the payload stored under rowid. It searches the pages in
+// place and copies out only the payload it returns.
 func (t *BTree) Get(rowid int64) ([]byte, bool, error) {
 	pgno := t.root
 	for {
@@ -178,34 +230,19 @@ func (t *BTree) Get(rowid int64) ([]byte, bool, error) {
 		}
 		switch data[0] {
 		case pageLeaf:
-			cells, _, err := decodeLeaf(data)
-			if err != nil {
+			payload, found, err := leafSearch(data, rowid)
+			if err != nil || !found {
 				return nil, false, err
 			}
-			i := sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= rowid })
-			if i < len(cells) && cells[i].rowid == rowid {
-				return cells[i].payload, true, nil
-			}
-			return nil, false, nil
+			return bytes.Clone(payload), true, nil
 		case pageInterior:
-			cells, right, err := decodeInterior(data)
-			if err != nil {
+			if pgno, _, err = interiorChild(data, rowid); err != nil {
 				return nil, false, err
 			}
-			pgno = childFor(cells, right, rowid)
 		default:
 			return nil, false, fmt.Errorf("sqldb: corrupt page %d", pgno)
 		}
 	}
-}
-
-// childFor picks the child covering rowid.
-func childFor(cells []intCell, right uint32, rowid int64) uint32 {
-	i := sort.Search(len(cells), func(i int) bool { return rowid <= cells[i].key })
-	if i < len(cells) {
-		return cells[i].child
-	}
-	return right
 }
 
 // Insert stores payload under rowid, replacing any previous payload.
@@ -285,19 +322,18 @@ func (t *BTree) insertInto(pgno uint32, rowid int64, payload []byte) (bool, int6
 		}
 		return true, cells[mid-1].rowid, rightPg, nil
 	case pageInterior:
-		cells, right, err := decodeInterior(data)
+		childPg, ci, err := interiorChild(data, rowid)
 		if err != nil {
 			return false, 0, 0, err
 		}
-		ci := sort.Search(len(cells), func(i int) bool { return rowid <= cells[i].key })
-		var childPg uint32
-		if ci < len(cells) {
-			childPg = cells[ci].child
-		} else {
-			childPg = right
-		}
 		split, sep, newRight, err := t.insertInto(childPg, rowid, payload)
 		if err != nil || !split {
+			return false, 0, 0, err
+		}
+		// Only a child split rewrites this node. data still holds its
+		// content: Put never writes into a slice Get returned.
+		cells, right, err := decodeInterior(data)
+		if err != nil {
 			return false, 0, 0, err
 		}
 		// The child split into (childPg: keys <= sep) and newRight.
@@ -379,11 +415,9 @@ func (t *BTree) Delete(rowid int64) (bool, error) {
 			enc, _ := encodeLeaf(cells, next)
 			return true, t.pager.Put(pgno, enc)
 		case pageInterior:
-			cells, right, err := decodeInterior(data)
-			if err != nil {
+			if pgno, _, err = interiorChild(data, rowid); err != nil {
 				return false, err
 			}
-			pgno = childFor(cells, right, rowid)
 		default:
 			return false, fmt.Errorf("sqldb: corrupt page %d", pgno)
 		}
@@ -428,12 +462,10 @@ func (t *BTree) SeekGE(target int64) *Cursor {
 			c.skipEmpty()
 			return c
 		case pageInterior:
-			cells, right, err := decodeInterior(data)
-			if err != nil {
+			if pgno, _, err = interiorChild(data, target); err != nil {
 				c.err = err
 				return c
 			}
-			pgno = childFor(cells, right, target)
 		default:
 			c.err = fmt.Errorf("sqldb: corrupt page %d", pgno)
 			return c

@@ -87,9 +87,12 @@ func openCatalog(p *Pager) (*catalog, error) {
 	return &catalog{tree: NewBTree(p, root)}, nil
 }
 
-// lookup returns the named table's metadata, or nil.
+// lookup returns the named table's metadata, or nil. Like every catalog
+// walk it reports a cursor error (a read error, a corrupt leaf) as an
+// error, never as the end of the table list.
 func (c *catalog) lookup(name string) (*TableMeta, error) {
-	for cur := c.tree.First(); cur.Valid(); cur.Next() {
+	cur := c.tree.First()
+	for ; cur.Valid(); cur.Next() {
 		t, err := decodeMeta(cur.RowID(), cur.Payload())
 		if err != nil {
 			return nil, err
@@ -98,18 +101,22 @@ func (c *catalog) lookup(name string) (*TableMeta, error) {
 			return t, nil
 		}
 	}
-	return nil, nil
+	return nil, cur.Err()
 }
 
 // tables lists every table.
 func (c *catalog) tables() ([]*TableMeta, error) {
 	var out []*TableMeta
-	for cur := c.tree.First(); cur.Valid(); cur.Next() {
+	cur := c.tree.First()
+	for ; cur.Valid(); cur.Next() {
 		t, err := decodeMeta(cur.RowID(), cur.Payload())
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
+	}
+	if err := cur.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -117,10 +124,14 @@ func (c *catalog) tables() ([]*TableMeta, error) {
 // create registers a new table (the caller checked for duplicates).
 func (c *catalog) create(t *TableMeta) error {
 	maxID := int64(0)
-	for cur := c.tree.First(); cur.Valid(); cur.Next() {
+	cur := c.tree.First()
+	for ; cur.Valid(); cur.Next() {
 		if cur.RowID() > maxID {
 			maxID = cur.RowID()
 		}
+	}
+	if err := cur.Err(); err != nil {
+		return err
 	}
 	t.catRowID = maxID + 1
 	return c.tree.Insert(t.catRowID, encodeMeta(t))

@@ -273,7 +273,8 @@ func (d *DB) scanTable(meta *TableMeta, where Expr, args []Value) ([]scanRow, er
 	}
 
 	var out []scanRow
-	for cur := tree.First(); cur.Valid(); cur.Next() {
+	cur := tree.First()
+	for ; cur.Valid(); cur.Next() {
 		vals, err := DecodeRow(cur.Payload())
 		if err != nil {
 			return nil, err
@@ -290,7 +291,9 @@ func (d *DB) scanTable(meta *TableMeta, where Expr, args []Value) ([]scanRow, er
 		}
 		out = append(out, scanRow{rowid: cur.RowID(), vals: vals})
 	}
-	if err := tree.First().Err(); err != nil {
+	// A cursor stops on a read error or a corrupt leaf as if the table
+	// ended there: only its Err tells a truncated scan from a full one.
+	if err := cur.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil

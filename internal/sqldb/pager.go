@@ -154,8 +154,12 @@ func (p *Pager) initialize() error {
 }
 
 // Reload drops the page cache and re-reads the header, picking up
-// external changes to the underlying file (a PBFT state transfer or
-// rollback rewrites the region under the engine). It must not be called
+// external changes to the underlying file. The cache is otherwise valid
+// across statements and transactions — every write the pager makes
+// reaches the file at commit or abort — so a caller reloads only when
+// someone else rewrote the file: the replicated SQL layer does when its
+// state region's Rewrites count moved (a PBFT state transfer or tentative
+// rollback rewrote the region under the engine). It must not be called
 // inside a transaction.
 func (p *Pager) Reload() error {
 	if p.inTx {
@@ -308,7 +312,10 @@ func (p *Pager) CatalogRoot() (uint32, error) {
 }
 
 // Get returns the content of page pgno. The returned slice is the cache
-// entry: callers must treat it as read-only and use Put to modify.
+// entry, handed to every later Get until the next Reload: callers must
+// treat it as read-only and use Put, which installs a fresh copy, to
+// modify the page. Writing into it would make the cache disagree with the
+// file for as long as the cache lives.
 func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
 		return nil, fmt.Errorf("sqldb: page 0 does not exist")
@@ -493,20 +500,18 @@ func (p *Pager) Rollback() error {
 	return nil
 }
 
-// abort restores before-images and discards dirty state.
+// abort restores before-images and discards dirty state, leaving the
+// cache equal to the restored file.
 func (p *Pager) abort() {
 	for pgno, img := range p.before {
 		p.cache[pgno] = img
 	}
-	for pgno := range p.dirty {
-		if _, hadBefore := p.before[pgno]; !hadBefore {
-			// Page born in this tx (or never journaled): drop it.
-			if pgno > p.origCount {
-				delete(p.cache, pgno)
-			}
-		}
-		delete(p.dirty, pgno)
+	// Pages born in this tx go, whether or not a failed commit had
+	// flushed them already (flush clears dirty).
+	for pgno := p.origCount + 1; pgno <= p.pageCount; pgno++ {
+		delete(p.cache, pgno)
 	}
+	clear(p.dirty)
 	// Write the restored images back so the file matches the cache.
 	for pgno, img := range p.before {
 		_, _ = p.db.WriteAt(img, int64(pgno-1)*PageSize)

@@ -12,6 +12,7 @@ package state
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/crypto"
 )
@@ -47,6 +48,10 @@ type Region struct {
 	// between goroutines.
 	flusher     Flusher
 	flushDriven bool
+
+	// rewrites counts the times pages were rewritten underneath the
+	// application (ApplyPage, a Restore that changed a page).
+	rewrites atomic.Uint64
 }
 
 // NewRegion creates a sparse region of size bytes with the given page size
@@ -178,7 +183,10 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// ApplyPage installs fetched page data during state transfer.
+// ApplyPage installs fetched page data during state transfer (or a
+// durable replica's recovery): the page is rewritten underneath the
+// application, so Rewrites moves once the bytes are in place and the
+// registered Flusher is invalidated.
 func (r *Region) ApplyPage(index int, data []byte) error {
 	if index < 0 || index >= r.numPages {
 		return fmt.Errorf("state: page %d out of range [0,%d)", index, r.numPages)
@@ -190,11 +198,19 @@ func (r *Region) ApplyPage(index int, data []byte) error {
 	r.touchPageLocked(index)
 	copy(r.pages[index], data)
 	r.mu.Unlock()
+	r.rewrites.Add(1)
 	if r.flusher != nil {
 		r.flusher.Invalidate()
 	}
 	return nil
 }
+
+// Rewrites returns how many times pages were rewritten underneath the
+// application (ApplyPage, Restore); writes through WriteAt and Modify do
+// not count. An application that caches region content across
+// operations may keep its cache while the count stays put, and must drop
+// it when the count moved.
+func (r *Region) Rewrites() uint64 { return r.rewrites.Load() }
 
 // Page returns a copy of page index's current content.
 func (r *Region) Page(index int) ([]byte, error) {

@@ -88,3 +88,44 @@ func TestReleaseAboveDropsTentativeSnapshots(t *testing.T) {
 		t.Fatal("snapshot above the cutoff must be gone")
 	}
 }
+
+// TestRewritesCountsPagesRewrittenUnderneath: Rewrites moves on every
+// ApplyPage and on a Restore that changed a page, and on nothing the
+// application writes itself — the contract a cache of region content
+// (sqlstate's pager) relies on to know when to drop itself.
+func TestRewritesCountsPagesRewrittenUnderneath(t *testing.T) {
+	r := mustRegion(t, 16*256, 256)
+	expect := func(want uint64, after string) {
+		t.Helper()
+		if got := r.Rewrites(); got != want {
+			t.Fatalf("after %s: Rewrites = %d, want %d", after, got, want)
+		}
+	}
+	if _, err := r.WriteAt([]byte("mine"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Modify(300, 10); err != nil {
+		t.Fatal(err)
+	}
+	expect(0, "WriteAt and Modify")
+	snap := r.Snapshot(1)
+	r.Restore(snap)
+	expect(0, "a Restore that changed nothing")
+	if _, err := r.WriteAt([]byte("later"), 0); err != nil {
+		t.Fatal(err)
+	}
+	r.Restore(snap)
+	expect(1, "a Restore that rewrote a page")
+	page := bytes.Repeat([]byte{9}, 256)
+	if err := r.ApplyPage(3, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ApplyPage(4, page); err != nil {
+		t.Fatal(err)
+	}
+	expect(3, "two ApplyPage calls")
+	if err := r.ApplyPage(99, page); err == nil {
+		t.Fatal("ApplyPage out of range succeeded")
+	}
+	expect(3, "a refused ApplyPage")
+}

@@ -80,7 +80,8 @@ func (r *Region) ReleaseAbove(seq uint64) {
 
 // Restore rewinds the live region to the snapshot's content (rollback of
 // tentative executions on a view change). Only pages whose digest differs
-// are touched.
+// are touched; when any was, Rewrites moves once they are all in place and
+// the registered Flusher is invalidated.
 func (r *Region) Restore(s *Snapshot) {
 	r.mu.Lock()
 	r.refreshLeavesLocked()
@@ -98,7 +99,11 @@ func (r *Region) Restore(s *Snapshot) {
 		}
 	}
 	r.mu.Unlock()
-	if rewritten && r.flusher != nil {
+	if !rewritten {
+		return
+	}
+	r.rewrites.Add(1)
+	if r.flusher != nil {
 		r.flusher.Invalidate()
 	}
 }

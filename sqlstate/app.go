@@ -43,6 +43,10 @@ type App struct {
 	vfs  *VFS
 	db   *sqldb.DB
 	err  error // initialization failure, reported on every Execute
+	// loadedRewrites is the region's Rewrites count as of the shared
+	// pager's open or last Reload: its cache equals the region until the
+	// count moves.
+	loadedRewrites uint64
 	// selfFlush is set when the App keeps a disk image and nobody
 	// drives the region's flush points: Execute then flushes after
 	// every mutating statement.
@@ -104,7 +108,9 @@ func (a *App) attach(region *state.Region, vfs *VFS) {
 		return
 	}
 	// The pager never journals here: the file is memory, and the disk
-	// image has its own journal below the VFS.
+	// image has its own journal below the VFS. Its cache is loaded from
+	// the region as of this count (see syncPager).
+	a.loadedRewrites = region.Rewrites()
 	db, err := sqldb.Open(vfs, a.opts.DBName, false)
 	if err != nil {
 		a.err = err
@@ -147,7 +153,12 @@ func (a *App) Authorize(appAuth []byte) (string, bool) {
 // execution engine may run them in parallel with each other. Every other
 // operation — all mutations included — reaches this method exclusively
 // (its keyset is nil, an engine barrier) and uses the long-lived database
-// handle with the per-operation nondeterminism installed.
+// handle with the per-operation nondeterminism installed. That handle's
+// page cache lives across operations: every write the pager makes reaches
+// the region by the end of its statement, so the cache only goes stale
+// when the replica rewrites pages underneath it (state transfer,
+// tentative rollback), which moves the region's Rewrites count; Execute
+// reloads the pager then, and only then.
 func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if a.err != nil {
 		return encodeError(a.err)
@@ -166,16 +177,17 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if kind == opExec && plan.txnControl {
 		// Explicit transactions cannot span ordered operations: a
 		// client BEGIN would hold the shared handle's transaction open
-		// across requests, wedging Reload (and thus every later
-		// operation) forever, and its uncommitted view could never be
-		// served consistently by replicas executing reads elsewhere.
+		// across requests, wedging every later operation (syncPager
+		// refuses inside a transaction), and its uncommitted view
+		// could never be served consistently by replicas executing
+		// reads elsewhere.
 		// Each mutating operation already commits atomically; reject
 		// transaction control deterministically, identically at every
 		// replica and shard count.
 		return encodeError(errTxnControl)
 	}
 	a.vfs.SetNonDet(nd)
-	if err := a.db.Pager().Reload(); err != nil {
+	if err := a.syncPager(); err != nil {
 		return encodeError(err)
 	}
 	switch kind {
@@ -202,6 +214,29 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	}
 }
 
+// syncPager brings the shared pager's cache up to date with the region
+// before a statement: a Reload when the region was rewritten underneath
+// it since the pager's open or last Reload, nothing otherwise. Inside a
+// transaction it refuses with sqldb.ErrInTransaction either way, as
+// Reload would.
+func (a *App) syncPager() error {
+	pager := a.db.Pager()
+	if pager.InTransaction() {
+		return sqldb.ErrInTransaction
+	}
+	// Read the count before reloading: a rewrite landing during the
+	// Reload moves it past the recorded value and forces the next one.
+	n := a.vfs.region.Rewrites()
+	if n == a.loadedRewrites {
+		return nil
+	}
+	if err := pager.Reload(); err != nil {
+		return err
+	}
+	a.loadedRewrites = n
+	return nil
+}
+
 // errTxnControl rejects BEGIN/COMMIT/ROLLBACK on the replicated path.
 var errTxnControl = errors.New("sqlstate: explicit transactions are not supported through the replicated service; every operation commits atomically")
 
@@ -218,7 +253,7 @@ func (a *App) queryConcurrent(sql string, args []sqldb.Value) []byte {
 	// Transaction state only changes inside barrier operations, which
 	// the engine never runs concurrently with keyed reads, so this read
 	// is race-free — and required: the serial path answers every
-	// operation with ErrInTransaction (via Reload) while a transaction
+	// operation with ErrInTransaction (via syncPager) while a transaction
 	// is open, and replicas at other shard counts must answer the same.
 	if a.db.Pager().InTransaction() {
 		return encodeError(sqldb.ErrInTransaction)

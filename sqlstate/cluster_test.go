@@ -94,6 +94,14 @@ func TestSpanFlushRepliesWaitForPersist(t *testing.T) {
 					}
 					return n
 				}
+				// The warm-up call completed on a quorum; the last
+				// replica's reply to it may still be on its way, and
+				// must not be counted against the held insert below.
+				for deadline := time.Now().Add(5 * time.Second); toClient() < 4; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("only %d warm-up replies reached the client", toClient())
+					}
+				}
 
 				hold.Store(true)
 				before := toClient()
