@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -88,46 +89,115 @@ func encodeLeaf(cells []leafCell, next uint32) ([]byte, bool) {
 	putU32(data[3:], next)
 	off := pageHdrSize
 	for _, c := range cells {
-		putU64(data[off:], uint64(c.rowid))
-		data[off+8], data[off+9] = byte(len(c.payload)>>8), byte(len(c.payload))
-		off += leafCellOvh
-		copy(data[off:], c.payload)
-		off += len(c.payload)
+		putLeafCell(data[off:], c.rowid, c.payload)
+		off += leafCellOvh + len(c.payload)
 	}
 	return data, true
 }
 
-// leafSearch looks rowid up in a leaf page in place. It walks every
-// cell header, validating the page exactly as decodeLeaf does, and
-// returns the matching cell's payload as a sub-slice of data: the caller
-// copies what it keeps. On a page whose rowids ascend (every page the
-// tree writes) it picks the cell decodeLeaf's binary search would.
-func leafSearch(data []byte, rowid int64) (payload []byte, found bool, err error) {
+func putLeafCell(b []byte, rowid int64, payload []byte) {
+	putU64(b, uint64(rowid))
+	b[8], b[9] = byte(len(payload)>>8), byte(len(payload))
+	copy(b[leafCellOvh:], payload)
+}
+
+// leafPos is where a rowid falls in a leaf page.
+type leafPos struct {
+	n     int  // the page's cell count
+	idx   int  // the first cell whose rowid is >= the target; n if none
+	off   int  // that cell's offset; end if none
+	plen  int  // that cell's payload length
+	found bool // that cell's rowid equals the target
+	end   int  // the offset just past the last cell
+}
+
+// locateLeaf finds rowid's place in a leaf page in place. It walks every
+// cell header, validating the page exactly as decodeLeaf does, so a page
+// it accepts decodes and one it rejects does not. On a page whose rowids
+// ascend (every page the tree writes) it picks the cell decodeLeaf's
+// binary search would.
+func locateLeaf(data []byte, rowid int64) (leafPos, error) {
 	if data[0] != pageLeaf {
-		return nil, false, fmt.Errorf("sqldb: page is not a leaf (type %d)", data[0])
+		return leafPos{}, fmt.Errorf("sqldb: page is not a leaf (type %d)", data[0])
 	}
 	n := int(data[1])<<8 | int(data[2])
+	pos := leafPos{n: n, idx: n}
 	off := pageHdrSize
-	passed := false // a cell with a rowid >= the target was seen
 	for i := 0; i < n; i++ {
 		if off+leafCellOvh > len(data) {
-			return nil, false, fmt.Errorf("sqldb: corrupt leaf page")
+			return leafPos{}, fmt.Errorf("sqldb: corrupt leaf page")
 		}
 		id := int64(getU64(data[off:]))
 		plen := int(data[off+8])<<8 | int(data[off+9])
-		off += leafCellOvh
-		if off+plen > len(data) {
-			return nil, false, fmt.Errorf("sqldb: corrupt leaf cell")
+		if off+leafCellOvh+plen > len(data) {
+			return leafPos{}, fmt.Errorf("sqldb: corrupt leaf cell")
 		}
-		if !passed && id >= rowid {
-			passed = true
-			if id == rowid {
-				payload, found = data[off:off+plen], true
-			}
+		if pos.idx == n && id >= rowid {
+			pos.idx, pos.off, pos.plen, pos.found = i, off, plen, id == rowid
 		}
-		off += plen
+		off += leafCellOvh + plen
 	}
-	return payload, found, nil
+	pos.end = off
+	if pos.idx == n {
+		pos.off = off
+	}
+	return pos, nil
+}
+
+// leafSearch looks rowid up in a leaf page in place and returns the
+// matching cell's payload as a sub-slice of data: the caller copies what
+// it keeps.
+func leafSearch(data []byte, rowid int64) (payload []byte, found bool, err error) {
+	pos, err := locateLeaf(data, rowid)
+	if err != nil || !pos.found {
+		return nil, false, err
+	}
+	start := pos.off + leafCellOvh
+	return data[start : start+pos.plen : start+pos.plen], true, nil
+}
+
+// leafInsert returns a fresh leaf page holding data's cells with payload
+// stored under rowid: spliced in at its place, or in place of that
+// rowid's cell. ok is false when the result would not fit a page.
+func leafInsert(data []byte, rowid int64, payload []byte) (page []byte, ok bool, err error) {
+	pos, err := locateLeaf(data, rowid)
+	if err != nil {
+		return nil, false, err
+	}
+	n, cut := pos.n+1, pos.off
+	if pos.found {
+		n, cut = pos.n, pos.off+leafCellOvh+pos.plen
+	}
+	cell := leafCellOvh + len(payload)
+	if pos.end-(cut-pos.off)+cell > PageSize {
+		return nil, false, nil
+	}
+	page = spliceLeaf(data, pos.end, pos.off, cut, cell, n)
+	putLeafCell(page[pos.off:], rowid, payload)
+	return page, true, nil
+}
+
+// leafDelete returns a fresh leaf page holding data's cells without
+// rowid's, or found false when data has no such cell.
+func leafDelete(data []byte, rowid int64) (page []byte, found bool, err error) {
+	pos, err := locateLeaf(data, rowid)
+	if err != nil || !pos.found {
+		return nil, false, err
+	}
+	return spliceLeaf(data, pos.end, pos.off, pos.off+leafCellOvh+pos.plen, 0, pos.n-1), true, nil
+}
+
+// spliceLeaf copies the leaf page data, whose cells end at end, into a
+// fresh page in one pass: the bytes [from, to) are replaced by gap zero
+// bytes for the caller to fill, and the cell count is set to n. Bytes
+// past the last cell stay zero, so the page is byte-identical to what
+// encodeLeaf makes of the same cells.
+func spliceLeaf(data []byte, end, from, to, gap, n int) []byte {
+	page := make([]byte, PageSize)
+	copy(page, data[:from])
+	copy(page[from+gap:], data[to:end])
+	page[1], page[2] = byte(n>>8), byte(n)
+	return page
 }
 
 func decodeInterior(data []byte) (cells []intCell, right uint32, err error) {
@@ -250,15 +320,12 @@ func (t *BTree) Insert(rowid int64, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("sqldb: row of %d bytes exceeds the %d-byte limit", len(payload), MaxPayload)
 	}
-	split, sep, newRight, err := t.insertInto(t.root, rowid, payload)
-	if err != nil {
+	ups, err := t.insertInto(t.root, rowid, payload)
+	if err != nil || ups == nil {
 		return err
 	}
-	if !split {
-		return nil
-	}
 	// Root split with a fixed root page: move the (already split) left
-	// half into a fresh page and turn the root into an interior node.
+	// part into a fresh page and turn the root into an interior node.
 	leftPg, err := t.pager.Allocate()
 	if err != nil {
 		return err
@@ -267,87 +334,50 @@ func (t *BTree) Insert(rowid int64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	leftCopy := make([]byte, PageSize)
-	copy(leftCopy, rootData)
-	if err := t.pager.Put(leftPg, leftCopy); err != nil {
+	if err := t.pager.Put(leftPg, bytes.Clone(rootData)); err != nil {
 		return err
 	}
-	newRoot, _ := encodeInterior([]intCell{{key: sep, child: leftPg}}, newRight)
+	cells, right := addSeparators(nil, 0, 0, leftPg, ups)
+	newRoot, _ := encodeInterior(cells, right)
 	return t.pager.Put(t.root, newRoot)
 }
 
-// insertInto descends; on split it returns the separator key (max key of
-// the left node) and the new right sibling.
-func (t *BTree) insertInto(pgno uint32, rowid int64, payload []byte) (bool, int64, uint32, error) {
+// insertInto descends. When the node at pgno splits it returns one cell
+// per new right sibling, in key order: the sibling's page, and the
+// largest key of the node just left of it (the separator to promote).
+func (t *BTree) insertInto(pgno uint32, rowid int64, payload []byte) ([]intCell, error) {
 	data, err := t.pager.Get(pgno)
 	if err != nil {
-		return false, 0, 0, err
+		return nil, err
 	}
 	switch data[0] {
 	case pageLeaf:
-		cells, next, err := decodeLeaf(data)
+		page, ok, err := leafInsert(data, rowid, payload)
 		if err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
-		i := sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= rowid })
-		if i < len(cells) && cells[i].rowid == rowid {
-			cells[i].payload = payload
-		} else {
-			cells = append(cells, leafCell{})
-			copy(cells[i+1:], cells[i:])
-			cells[i] = leafCell{rowid: rowid, payload: payload}
+		if ok {
+			return nil, t.pager.Put(pgno, page)
 		}
-		if enc, ok := encodeLeaf(cells, next); ok {
-			return false, 0, 0, t.pager.Put(pgno, enc)
-		}
-		// Split: left keeps the lower half (by bytes).
-		mid := splitPointLeaf(cells)
-		rightPg, err := t.pager.Allocate()
-		if err != nil {
-			return false, 0, 0, err
-		}
-		leftEnc, ok := encodeLeaf(cells[:mid], rightPg)
-		if !ok {
-			return false, 0, 0, fmt.Errorf("sqldb: leaf split left overflow")
-		}
-		rightEnc, ok := encodeLeaf(cells[mid:], next)
-		if !ok {
-			return false, 0, 0, fmt.Errorf("sqldb: leaf split right overflow")
-		}
-		if err := t.pager.Put(pgno, leftEnc); err != nil {
-			return false, 0, 0, err
-		}
-		if err := t.pager.Put(rightPg, rightEnc); err != nil {
-			return false, 0, 0, err
-		}
-		return true, cells[mid-1].rowid, rightPg, nil
+		return t.splitLeaf(pgno, data, rowid, payload)
 	case pageInterior:
 		childPg, ci, err := interiorChild(data, rowid)
 		if err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
-		split, sep, newRight, err := t.insertInto(childPg, rowid, payload)
-		if err != nil || !split {
-			return false, 0, 0, err
+		ups, err := t.insertInto(childPg, rowid, payload)
+		if err != nil || ups == nil {
+			return nil, err
 		}
 		// Only a child split rewrites this node. data still holds its
-		// content: Put never writes into a slice Get returned.
+		// content: a slice Get returned is never written.
 		cells, right, err := decodeInterior(data)
 		if err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
-		// The child split into (childPg: keys <= sep) and newRight.
-		if ci < len(cells) {
-			cells = append(cells, intCell{})
-			copy(cells[ci+1:], cells[ci:])
-			cells[ci] = intCell{key: sep, child: childPg}
-			cells[ci+1].child = newRight
-		} else {
-			cells = append(cells, intCell{key: sep, child: childPg})
-			right = newRight
-		}
+		cells, right = addSeparators(cells, right, ci, childPg, ups)
 		if enc, ok := encodeInterior(cells, right); ok {
-			return false, 0, 0, t.pager.Put(pgno, enc)
+			return nil, t.pager.Put(pgno, enc)
 		}
 		// Split the interior node: promote the middle key.
 		mid := len(cells) / 2
@@ -357,26 +387,105 @@ func (t *BTree) insertInto(pgno uint32, rowid int64, payload []byte) (bool, int6
 		rightCells := append([]intCell(nil), cells[mid+1:]...)
 		rightPg, err := t.pager.Allocate()
 		if err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
 		leftEnc, ok := encodeInterior(leftCells, leftRight)
 		if !ok {
-			return false, 0, 0, fmt.Errorf("sqldb: interior split left overflow")
+			return nil, fmt.Errorf("sqldb: interior split left overflow")
 		}
 		rightEnc, ok := encodeInterior(rightCells, right)
 		if !ok {
-			return false, 0, 0, fmt.Errorf("sqldb: interior split right overflow")
+			return nil, fmt.Errorf("sqldb: interior split right overflow")
 		}
 		if err := t.pager.Put(pgno, leftEnc); err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
 		if err := t.pager.Put(rightPg, rightEnc); err != nil {
-			return false, 0, 0, err
+			return nil, err
 		}
-		return true, promote, rightPg, nil
+		return []intCell{{key: promote, child: rightPg}}, nil
 	default:
-		return false, 0, 0, fmt.Errorf("sqldb: corrupt page %d", pgno)
+		return nil, fmt.Errorf("sqldb: corrupt page %d", pgno)
 	}
+}
+
+// addSeparators records in an interior node's cells that its child at
+// index ci (len(cells): the rightmost child) split: child keeps the keys
+// up to ups[0].key, each ups[k].child those after that up to
+// ups[k+1].key, and the last sibling the rest of the child's old range.
+func addSeparators(cells []intCell, right uint32, ci int, child uint32, ups []intCell) ([]intCell, uint32) {
+	for k := range ups {
+		ups[k].child, child = child, ups[k].child
+	}
+	if ci < len(cells) {
+		cells = slices.Insert(cells, ci, ups...)
+		cells[ci+len(ups)].child = child
+		return cells, right
+	}
+	return append(cells, ups...), child
+}
+
+// splitLeaf stores payload under rowid in the leaf at pgno, which it no
+// longer fits, by spreading the leaf's cells over pgno and new right
+// siblings. It returns insertInto's separators.
+func (t *BTree) splitLeaf(pgno uint32, data []byte, rowid int64, payload []byte) ([]intCell, error) {
+	cells, next, err := decodeLeaf(data)
+	if err != nil {
+		return nil, err
+	}
+	i := sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= rowid })
+	if i < len(cells) && cells[i].rowid == rowid {
+		cells[i].payload = payload
+	} else {
+		cells = slices.Insert(cells, i, leafCell{rowid: rowid, payload: payload})
+	}
+	groups := splitLeafCells(cells)
+	pages := make([]uint32, len(groups))
+	pages[0] = pgno
+	for k := 1; k < len(groups); k++ {
+		if pages[k], err = t.pager.Allocate(); err != nil {
+			return nil, err
+		}
+	}
+	ups := make([]intCell, 0, len(groups)-1)
+	for k, g := range groups {
+		link := next
+		if k+1 < len(groups) {
+			link = pages[k+1]
+			ups = append(ups, intCell{key: g[len(g)-1].rowid, child: link})
+		}
+		enc, ok := encodeLeaf(g, link)
+		if !ok {
+			return nil, fmt.Errorf("sqldb: leaf split overflow")
+		}
+		if err := t.pager.Put(pages[k], enc); err != nil {
+			return nil, err
+		}
+	}
+	return ups, nil
+}
+
+// splitLeafCells divides cells that overflow one leaf into pages: two
+// balanced by bytes, or, when that leaves either over a page (a row
+// grown between two big neighbours), as many as filling each from the
+// left takes. That is three at most: the cells before the grown row and
+// those after it shared one page before, and any row fits a page alone.
+func splitLeafCells(cells []leafCell) [][]leafCell {
+	mid := splitPointLeaf(cells)
+	if leafSize(cells[:mid]) <= PageSize && leafSize(cells[mid:]) <= PageSize {
+		return [][]leafCell{cells[:mid], cells[mid:]}
+	}
+	var groups [][]leafCell
+	for len(cells) > 0 {
+		k, size := 0, pageHdrSize
+		for k < len(cells) && size+leafCellOvh+len(cells[k].payload) <= PageSize {
+			size += leafCellOvh + len(cells[k].payload)
+			k++
+		}
+		groups = append(groups, cells[:k])
+		cells = cells[k:]
+	}
+	return groups
 }
 
 // splitPointLeaf picks the split index balancing bytes.
@@ -403,17 +512,11 @@ func (t *BTree) Delete(rowid int64) (bool, error) {
 		}
 		switch data[0] {
 		case pageLeaf:
-			cells, next, err := decodeLeaf(data)
-			if err != nil {
+			page, found, err := leafDelete(data, rowid)
+			if err != nil || !found {
 				return false, err
 			}
-			i := sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= rowid })
-			if i >= len(cells) || cells[i].rowid != rowid {
-				return false, nil
-			}
-			cells = append(cells[:i], cells[i+1:]...)
-			enc, _ := encodeLeaf(cells, next)
-			return true, t.pager.Put(pgno, enc)
+			return true, t.pager.Put(pgno, page)
 		case pageInterior:
 			if pgno, _, err = interiorChild(data, rowid); err != nil {
 				return false, err
@@ -424,12 +527,16 @@ func (t *BTree) Delete(rowid int64) (bool, error) {
 	}
 }
 
-// Cursor iterates leaf cells in rowid order.
+// Cursor iterates leaf cells in rowid order. It reads each leaf in place:
+// the whole page is validated when the cursor loads it, so a corrupt leaf
+// fails the scan before any of its rows is returned.
 type Cursor struct {
 	tree  *BTree
-	cells []leafCell
+	page  []byte // the current leaf, as the pager returned it
+	n     int    // its cell count
+	idx   int    // the current cell's index
+	off   int    // the current cell's offset in page
 	next  uint32
-	idx   int
 	err   error
 	valid bool
 }
@@ -451,15 +558,9 @@ func (t *BTree) SeekGE(target int64) *Cursor {
 		}
 		switch data[0] {
 		case pageLeaf:
-			cells, next, err := decodeLeaf(data)
-			if err != nil {
-				c.err = err
-				return c
+			if c.load(data, target) {
+				c.skipEmpty()
 			}
-			c.cells, c.next = cells, next
-			c.idx = sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= target })
-			c.valid = true
-			c.skipEmpty()
 			return c
 		case pageInterior:
 			if pgno, _, err = interiorChild(data, target); err != nil {
@@ -473,9 +574,22 @@ func (t *BTree) SeekGE(target int64) *Cursor {
 	}
 }
 
+// load validates the leaf page data and positions the cursor on its
+// first cell with a rowid >= target.
+func (c *Cursor) load(data []byte, target int64) bool {
+	pos, err := locateLeaf(data, target)
+	if err != nil {
+		c.err, c.valid = err, false
+		return false
+	}
+	c.page, c.n, c.idx, c.off, c.next = data, pos.n, pos.idx, pos.off, getU32(data[3:])
+	c.valid = true
+	return true
+}
+
 // skipEmpty advances across exhausted leaves.
 func (c *Cursor) skipEmpty() {
-	for c.valid && c.idx >= len(c.cells) {
+	for c.valid && c.idx >= c.n {
 		if c.next == 0 {
 			c.valid = false
 			return
@@ -486,13 +600,9 @@ func (c *Cursor) skipEmpty() {
 			c.valid = false
 			return
 		}
-		cells, next, err := decodeLeaf(data)
-		if err != nil {
-			c.err = err
-			c.valid = false
+		if !c.load(data, -1<<63) {
 			return
 		}
-		c.cells, c.next, c.idx = cells, next, 0
 	}
 }
 
@@ -503,16 +613,22 @@ func (c *Cursor) Valid() bool { return c.valid && c.err == nil }
 func (c *Cursor) Err() error { return c.err }
 
 // RowID returns the current row's id.
-func (c *Cursor) RowID() int64 { return c.cells[c.idx].rowid }
+func (c *Cursor) RowID() int64 { return int64(getU64(c.page[c.off:])) }
 
-// Payload returns the current row's payload.
-func (c *Cursor) Payload() []byte { return c.cells[c.idx].payload }
+// Payload returns the current row's payload. It aliases the page, which
+// the pager never writes in place: the caller must not write into it.
+func (c *Cursor) Payload() []byte {
+	start := c.off + leafCellOvh
+	end := start + (int(c.page[c.off+8])<<8 | int(c.page[c.off+9]))
+	return c.page[start:end:end]
+}
 
 // Next advances the cursor.
 func (c *Cursor) Next() {
 	if !c.Valid() {
 		return
 	}
+	c.off += leafCellOvh + (int(c.page[c.off+8])<<8 | int(c.page[c.off+9]))
 	c.idx++
 	c.skipEmpty()
 }

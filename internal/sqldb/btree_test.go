@@ -3,6 +3,10 @@ package sqldb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -385,5 +389,193 @@ func BenchmarkRowidPointQuery(b *testing.B) {
 		if err != nil || len(rows.Data) != 1 {
 			b.Fatalf("%v %v", err, rows)
 		}
+	}
+}
+
+// treeRows walks the tree with a cursor and returns each row's payload
+// length by rowid, failing on a cursor error or rowids out of order.
+func treeRows(t *testing.T, tree *BTree) map[int64]int {
+	t.Helper()
+	rows := map[int64]int{}
+	prev := int64(-1 << 62)
+	cur := tree.First()
+	for ; cur.Valid(); cur.Next() {
+		if cur.RowID() <= prev {
+			t.Fatalf("cursor order: %d after %d", cur.RowID(), prev)
+		}
+		prev = cur.RowID()
+		rows[prev] = len(cur.Payload())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestBTreeThreeWayLeafSplit grows a row between two big neighbours until
+// the three share no two pages (2 000 + 3 400 + 1 500 payload bytes): the
+// leaf splits three ways and its parent gains two separators, whether the
+// leaf is the root or a middle child.
+func TestBTreeThreeWayLeafSplit(t *testing.T) {
+	fill := func(t *testing.T, tree *BTree, sizes map[int64]int) {
+		t.Helper()
+		for _, k := range []int64{1, 2, 3, 4, 5} {
+			if n, ok := sizes[k]; ok {
+				if err := tree.Insert(k, bytes.Repeat([]byte{byte(k)}, n)); err != nil {
+					t.Fatalf("insert %d (%d bytes): %v", k, n, err)
+				}
+			}
+		}
+	}
+	rootKeys := func(t *testing.T, tree *BTree) []int64 {
+		t.Helper()
+		data, err := tree.pager.Get(tree.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := decodeInterior(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []int64
+		for _, c := range cells {
+			keys = append(keys, c.key)
+		}
+		return keys
+	}
+	t.Run("root", func(t *testing.T) {
+		tree, _ := testTree(t)
+		sizes := map[int64]int{1: 2000, 2: 10, 3: 1500}
+		fill(t, tree, sizes)
+		sizes[2] = 3400
+		fill(t, tree, map[int64]int{2: 3400})
+		if got := fmt.Sprint(rootKeys(t, tree)); got != "[1 2]" {
+			t.Fatalf("root separators %s, want [1 2]", got)
+		}
+		if got := treeRows(t, tree); fmt.Sprint(got) != fmt.Sprint(sizes) {
+			t.Fatalf("rows %v, want %v", got, sizes)
+		}
+	})
+	t.Run("middle child", func(t *testing.T) {
+		tree, _ := testTree(t)
+		// Leaves [1 2 3] [4] [5] under the root.
+		sizes := map[int64]int{1: 2000, 2: 10, 3: 1500, 4: 3000, 5: 3000}
+		fill(t, tree, sizes)
+		if got := fmt.Sprint(rootKeys(t, tree)); got != "[3 4]" {
+			t.Fatalf("set-up: root separators %s, want [3 4]", got)
+		}
+		sizes[2] = 3400
+		fill(t, tree, map[int64]int{2: 3400})
+		if got := fmt.Sprint(rootKeys(t, tree)); got != "[1 2 3 4]" {
+			t.Fatalf("root separators %s, want [1 2 3 4]", got)
+		}
+		if got := treeRows(t, tree); fmt.Sprint(got) != fmt.Sprint(sizes) {
+			t.Fatalf("rows %v, want %v", got, sizes)
+		}
+		for k, n := range sizes {
+			if v, found, err := tree.Get(k); err != nil || !found || len(v) != n {
+				t.Fatalf("Get(%d) = %d bytes, %v, %v; want %d bytes", k, len(v), found, err, n)
+			}
+		}
+	})
+	t.Run("sql update", func(t *testing.T) {
+		db, _ := openTestDB(t)
+		mustExec(t, db, "CREATE TABLE t (v TEXT)")
+		// A one-column row's payload is the text plus 9 bytes.
+		for _, n := range []int{1991, 1, 1491} {
+			mustExec(t, db, "INSERT INTO t VALUES (?)", Text(strings.Repeat("x", n)))
+		}
+		mustExec(t, db, "UPDATE t SET v = ? WHERE rowid = 2", Text(strings.Repeat("y", 3391)))
+		checkCacheMatchesFile(t, db.Pager(), "after the update")
+		rows := mustQuery(t, db, "SELECT rowid, length(v) FROM t")
+		if got := fmt.Sprint(rows.Data); got != "[[1 1991] [2 3391] [3 1491]]" {
+			t.Fatalf("rows %s", got)
+		}
+	})
+}
+
+// TestLeafSpliceMatchesEncode checks the in-place leaf edits against
+// decodeLeaf, edit, encodeLeaf over random leaves: an insert at every
+// kind of place, a replace of the same, a smaller and a larger length,
+// and a delete must give exactly encodeLeaf's bytes (or both must find
+// that the result overflows the page), and must leave the input page
+// untouched.
+func TestLeafSpliceMatchesEncode(t *testing.T) {
+	rnd := rand.New(rand.NewSource(50))
+	for trial := 0; trial < 3000; trial++ {
+		var cells []leafCell
+		rowid, size := int64(rnd.Intn(20)-10), pageHdrSize
+		for n := rnd.Intn(40); len(cells) < n; {
+			payload := make([]byte, rnd.Intn(1+rnd.Intn(600)))
+			rnd.Read(payload)
+			if size+leafCellOvh+len(payload) > PageSize {
+				break
+			}
+			size += leafCellOvh + len(payload)
+			cells = append(cells, leafCell{rowid: rowid, payload: payload})
+			rowid += 1 + int64(rnd.Intn(3))*int64(rnd.Intn(4))
+		}
+		data, ok := encodeLeaf(cells, rnd.Uint32())
+		if !ok {
+			t.Fatal("set-up leaf overflows")
+		}
+		orig := bytes.Clone(data)
+		_, next, _ := decodeLeaf(data)
+
+		// Pick the target: an existing rowid or a gap (before the
+		// first, between two, after the last).
+		target := rowid + int64(rnd.Intn(3))
+		existing := len(cells) > 0 && rnd.Intn(3) > 0
+		if existing {
+			target = cells[rnd.Intn(len(cells))].rowid
+		} else if len(cells) > 0 && rnd.Intn(2) == 0 {
+			target = cells[0].rowid - 1 - int64(rnd.Intn(3))
+		} else if len(cells) > 1 {
+			i := 1 + rnd.Intn(len(cells)-1)
+			if cells[i].rowid-cells[i-1].rowid > 1 {
+				target = cells[i-1].rowid + 1
+			}
+		}
+		i := sort.Search(len(cells), func(i int) bool { return cells[i].rowid >= target })
+		found := i < len(cells) && cells[i].rowid == target
+		edited := slices.Clone(cells)
+
+		var got, want []byte
+		var gotOK, wantOK bool
+		var err error
+		var what string
+		if found && rnd.Intn(3) == 0 {
+			what = "delete"
+			got, gotOK, err = leafDelete(data, target)
+			edited = slices.Delete(edited, i, i+1)
+			want, wantOK = encodeLeaf(edited, next)
+		} else {
+			what = "insert"
+			plen := rnd.Intn(1 + rnd.Intn(MaxPayload))
+			if found && rnd.Intn(2) == 0 {
+				what, plen = "same-length replace", len(cells[i].payload)
+			}
+			payload := make([]byte, plen)
+			rnd.Read(payload)
+			got, gotOK, err = leafInsert(data, target, payload)
+			if found {
+				edited[i].payload = payload
+			} else {
+				edited = slices.Insert(edited, i, leafCell{rowid: target, payload: payload})
+			}
+			want, wantOK = encodeLeaf(edited, next)
+		}
+		if err != nil || gotOK != wantOK || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: %s of rowid %d into %d cells: ok %v (err %v), encodeLeaf ok %v; bytes equal %v",
+				trial, what, target, len(cells), gotOK, err, wantOK, bytes.Equal(got, want))
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("trial %d: %s wrote into its input page", trial, what)
+		}
+	}
+	// Deleting an absent rowid finds nothing.
+	data, _ := encodeLeaf([]leafCell{{rowid: 1}, {rowid: 3}}, 0)
+	if page, found, err := leafDelete(data, 2); err != nil || found || page != nil {
+		t.Fatalf("delete of an absent rowid: %v %v %v", page, found, err)
 	}
 }

@@ -49,6 +49,12 @@ func (d *DB) Exec(sql string, args ...Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return d.ExecStmt(st, nparams, args...)
+}
+
+// ExecStmt runs one parsed statement that returns no rows; nparams is
+// its placeholder count, as Parse returned it.
+func (d *DB) ExecStmt(st Stmt, nparams int, args ...Value) (Result, error) {
 	if nparams > len(args) {
 		return Result{}, fmt.Errorf("sqldb: statement needs %d arguments, got %d", nparams, len(args))
 	}
@@ -113,6 +119,12 @@ func (d *DB) Query(sql string, args ...Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.QueryStmt(st, nparams, args...)
+}
+
+// QueryStmt runs one parsed SELECT; nparams is its placeholder count, as
+// Parse returned it.
+func (d *DB) QueryStmt(st Stmt, nparams int, args ...Value) (*Rows, error) {
 	if nparams > len(args) {
 		return nil, fmt.Errorf("sqldb: statement needs %d arguments, got %d", nparams, len(args))
 	}

@@ -25,20 +25,31 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "DROP": true, "IF": true, "NOT": true,
-	"EXISTS": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"SELECT": true, "FROM": true, "WHERE": true, "ORDER": true, "BY": true,
-	"ASC": true, "DESC": true, "LIMIT": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"AND": true, "OR": true, "NULL": true, "INTEGER": true, "INT": true,
-	"REAL": true, "TEXT": true, "BLOB": true, "PRIMARY": true, "KEY": true,
-	"AS": true, "TRANSACTION": true,
-}
+// keywords maps each keyword to itself. The lexer looks a word up by its
+// upper-cased bytes and takes the token text from the map, so a keyword
+// token allocates nothing.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`CREATE TABLE DROP IF NOT EXISTS INSERT INTO
+		VALUES SELECT FROM WHERE ORDER BY ASC DESC LIMIT UPDATE SET DELETE BEGIN
+		COMMIT ROLLBACK AND OR NULL INTEGER INT REAL TEXT BLOB PRIMARY KEY AS
+		TRANSACTION`) {
+		if len(kw) > maxKeywordLen {
+			panic("sqldb: keyword " + kw + " longer than maxKeywordLen")
+		}
+		m[kw] = kw
+	}
+	return m
+}()
 
-// lex tokenizes one SQL statement.
+// maxKeywordLen is the longest keyword's length (TRANSACTION): a longer
+// word is an identifier.
+const maxKeywordLen = 11
+
+// lex tokenizes one SQL statement. Token texts are sub-strings of src or
+// constants, except a string literal with an escaped quote.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/2+2)
 	i := 0
 	for i < len(src) {
 		ch := src[i]
@@ -69,35 +80,43 @@ func lex(src string) ([]token, error) {
 			for i < len(src) && isIdentPart(src[i]) {
 				i++
 			}
-			word := src[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tkKeyword, text: up, pos: start})
-			} else {
-				toks = append(toks, token{kind: tkIdent, text: word, pos: start})
-			}
+			toks = append(toks, wordToken(src[start:i], start))
 		case ch == '\'':
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < len(src) {
-				if src[i] == '\'' {
-					if i+1 < len(src) && src[i+1] == '\'' {
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
-					break
-				}
-				sb.WriteByte(src[i])
+			start := i + 1
+			i = start
+			for i < len(src) && src[i] != '\'' {
 				i++
 			}
-			if !closed {
+			if i+1 < len(src) && src[i+1] == '\'' {
+				// A '' escape: build the unescaped text.
+				var sb strings.Builder
+				sb.WriteString(src[start:i])
+				closed := false
+				for i < len(src) {
+					if src[i] == '\'' {
+						if i+1 < len(src) && src[i+1] == '\'' {
+							sb.WriteByte('\'')
+							i += 2
+							continue
+						}
+						closed = true
+						i++
+						break
+					}
+					sb.WriteByte(src[i])
+					i++
+				}
+				if !closed {
+					return nil, fmt.Errorf("sqldb: unterminated string at %d", i)
+				}
+				toks = append(toks, token{kind: tkString, text: sb.String(), pos: i})
+				continue
+			}
+			if i == len(src) {
 				return nil, fmt.Errorf("sqldb: unterminated string at %d", i)
 			}
-			toks = append(toks, token{kind: tkString, text: sb.String(), pos: i})
+			i++
+			toks = append(toks, token{kind: tkString, text: src[start : i-1], pos: i})
 		case ch == '?':
 			toks = append(toks, token{kind: tkParam, text: "?", pos: i})
 			i++
@@ -111,11 +130,11 @@ func lex(src string) ([]token, error) {
 			} else if ch == '!' {
 				return nil, fmt.Errorf("sqldb: unexpected '!' at %d", i)
 			} else {
-				toks = append(toks, token{kind: tkOp, text: string(ch), pos: i})
+				toks = append(toks, token{kind: tkOp, text: src[i : i+1], pos: i})
 				i++
 			}
-		case strings.ContainsRune("(),;*=+-/", rune(ch)):
-			toks = append(toks, token{kind: tkOp, text: string(ch), pos: i})
+		case strings.IndexByte("(),;*=+-/", ch) >= 0:
+			toks = append(toks, token{kind: tkOp, text: src[i : i+1], pos: i})
 			i++
 		default:
 			return nil, fmt.Errorf("sqldb: unexpected character %q at %d", ch, i)
@@ -123,6 +142,26 @@ func lex(src string) ([]token, error) {
 	}
 	toks = append(toks, token{kind: tkEOF, pos: len(src)})
 	return toks, nil
+}
+
+// wordToken classifies an identifier-shaped word starting at pos: a
+// keyword, matched case-insensitively and given its canonical upper-case
+// text, or an identifier keeping the word as written.
+func wordToken(word string, pos int) token {
+	if len(word) <= maxKeywordLen {
+		var up [maxKeywordLen]byte
+		for i := 0; i < len(word); i++ {
+			c := word[i]
+			if c >= 'a' && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			up[i] = c
+		}
+		if kw, ok := keywords[string(up[:len(word)])]; ok {
+			return token{kind: tkKeyword, text: kw, pos: pos}
+		}
+	}
+	return token{kind: tkIdent, text: word, pos: pos}
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

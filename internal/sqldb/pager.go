@@ -91,6 +91,7 @@ func openPager(vfs VFS, name string, durable, readOnly bool) (*Pager, error) {
 		durable: durable,
 		cache:   make(map[uint32][]byte),
 		dirty:   make(map[uint32]bool),
+		before:  make(map[uint32][]byte),
 	}
 	if !readOnly {
 		if err := p.recover(); err != nil {
@@ -165,8 +166,8 @@ func (p *Pager) Reload() error {
 	if p.inTx {
 		return ErrInTransaction
 	}
-	p.cache = make(map[uint32][]byte)
-	p.dirty = make(map[uint32]bool)
+	clear(p.cache)
+	clear(p.dirty)
 	size, err := p.db.Size()
 	if err != nil {
 		return err
@@ -312,10 +313,11 @@ func (p *Pager) CatalogRoot() (uint32, error) {
 }
 
 // Get returns the content of page pgno. The returned slice is the cache
-// entry, handed to every later Get until the next Reload: callers must
-// treat it as read-only and use Put, which installs a fresh copy, to
-// modify the page. Writing into it would make the cache disagree with the
-// file for as long as the cache lives.
+// entry, handed to every later Get until the page is Put or the cache
+// reloaded, and it may live on as a before-image: callers must treat it
+// as read-only and Put a fresh buffer to modify the page. Writing into
+// it would make the cache disagree with the file, and corrupt a
+// rollback.
 func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
 		return nil, fmt.Errorf("sqldb: page 0 does not exist")
@@ -331,8 +333,11 @@ func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	return data, nil
 }
 
-// Put replaces the content of page pgno, journaling the before-image if a
-// transaction is active and the page predates it.
+// Put replaces the content of page pgno, keeping the before-image if a
+// transaction is active and the page predates it. Put takes ownership of
+// data: it becomes the cache entry, so the caller must not write into it
+// afterwards. The before-image is the cache entry data replaces, not a
+// copy; that is sound because no cache entry is ever written in place.
 func (p *Pager) Put(pgno uint32, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("sqldb: page data of %d bytes", len(data))
@@ -343,14 +348,10 @@ func (p *Pager) Put(pgno uint32, data []byte) error {
 			if err != nil {
 				return err
 			}
-			img := make([]byte, PageSize)
-			copy(img, old)
-			p.before[pgno] = img
+			p.before[pgno] = old
 		}
 	}
-	buf := make([]byte, PageSize)
-	copy(buf, data)
-	p.cache[pgno] = buf
+	p.cache[pgno] = data
 	p.dirty[pgno] = true
 	return nil
 }
@@ -419,7 +420,7 @@ func (p *Pager) Begin() error {
 	}
 	p.inTx = true
 	p.origCount = p.pageCount
-	p.before = make(map[uint32][]byte)
+	clear(p.before)
 	p.journaled = false
 	return nil
 }
@@ -458,7 +459,7 @@ func (p *Pager) Commit() error {
 		}
 	}
 	p.inTx = false
-	p.before = nil
+	clear(p.before)
 	p.Commits++
 	return nil
 }
@@ -486,7 +487,7 @@ func (p *Pager) flush() error {
 			return err
 		}
 	}
-	p.dirty = make(map[uint32]bool)
+	clear(p.dirty)
 	return nil
 }
 
@@ -524,7 +525,7 @@ func (p *Pager) abort() {
 		_ = p.vfs.Delete(p.journalName())
 	}
 	p.inTx = false
-	p.before = nil
+	clear(p.before)
 }
 
 // Close flushes nothing (commits do) and releases the file. A transaction

@@ -178,7 +178,7 @@ type (
 	Conn = transport.Conn
 	// UDPConn is the real-socket endpoint behind ListenUDP. Beyond Conn
 	// it exposes the syscall batching counters (BatchStats) that the
-	// observability surface and the swarm benchmark report.
+	// observability surface and the benchmark's UDP probe report.
 	UDPConn = transport.UDPConn
 	// BatchStats is a snapshot of a UDP endpoint's syscall batching
 	// counters: syscalls issued, datagrams moved, and the

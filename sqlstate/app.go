@@ -167,12 +167,16 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if err != nil {
 		return encodeError(err)
 	}
+	// One parse serves the plan and the execution. A statement that
+	// does not parse gets the empty plan, and its parse error is
+	// reported where the statement would run.
+	st, nparams, parseErr := sqldb.Parse(sql)
+	plan := statementPlan(st)
 	// The concurrent read path only pays off when the engine may
 	// actually run queries in parallel (see the sharded flag); the
 	// serial configuration keeps the long-lived cached handle.
-	plan := a.classify(sql)
 	if kind == opQuery && plan.shardable && a.sharded.Load() {
-		return a.queryConcurrent(sql, args)
+		return a.queryConcurrent(st, nparams, args)
 	}
 	if kind == opExec && plan.txnControl {
 		// Explicit transactions cannot span ordered operations: a
@@ -192,7 +196,10 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	}
 	switch kind {
 	case opQuery:
-		rows, err := a.db.Query(sql, args...)
+		if parseErr != nil {
+			return encodeError(parseErr)
+		}
+		rows, err := a.db.QueryStmt(st, nparams, args...)
 		if err != nil {
 			return encodeError(err)
 		}
@@ -201,7 +208,10 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 		if readOnly {
 			return encodeError(errors.New("sqlstate: mutating statement on the read-only path"))
 		}
-		res, err := a.db.Exec(sql, args...)
+		if parseErr != nil {
+			return encodeError(parseErr)
+		}
+		res, err := a.db.ExecStmt(st, nparams, args...)
 		if err == nil && a.selfFlush {
 			err = a.vfs.Flush()
 		}
@@ -249,7 +259,7 @@ var errTxnControl = errors.New("sqlstate: explicit transactions are not supporte
 // holds the shared handle's explicit transaction open, and — by the
 // shardable exclusion of now()/random() — no dependence on the
 // nondeterminism values the serial path would have installed.
-func (a *App) queryConcurrent(sql string, args []sqldb.Value) []byte {
+func (a *App) queryConcurrent(st sqldb.Stmt, nparams int, args []sqldb.Value) []byte {
 	// Transaction state only changes inside barrier operations, which
 	// the engine never runs concurrently with keyed reads, so this read
 	// is race-free — and required: the serial path answers every
@@ -263,7 +273,7 @@ func (a *App) queryConcurrent(sql string, args []sqldb.Value) []byte {
 		return encodeError(err)
 	}
 	defer db.Close()
-	rows, err := db.Query(sql, args...)
+	rows, err := db.QueryStmt(st, nparams, args...)
 	if err != nil {
 		return encodeError(err)
 	}

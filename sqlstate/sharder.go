@@ -9,9 +9,9 @@ import (
 // is dropped wholesale when full (no eviction bookkeeping).
 const shardPlanCacheCap = 4096
 
-// shardPlan caches one statement's classification so the SQL is parsed
-// once per template, not once in Keys (on the protocol loop) and again
-// in Execute (on the shard worker).
+// shardPlan is one statement's classification. Keys caches it by
+// statement text, with the keyset, so the protocol loop parses each
+// template once; Execute derives it from the statement it parses anyway.
 type shardPlan struct {
 	table      string
 	shardable  bool
@@ -55,10 +55,10 @@ func (a *App) ObserveExecShards(shards int) {
 	a.sharded.Store(shards > 1)
 }
 
-// classify is parseStatement behind the app's plan cache: the protocol
-// loop (Keys) and the shard workers (Execute) both classify every
-// statement, and workloads repeat statement templates — one parse per
-// template instead of one per call.
+// classify is parseStatement behind the app's plan cache: Keys
+// classifies every committed query on the protocol loop, and workloads
+// repeat statement templates — one parse per template instead of one per
+// call.
 func (a *App) classify(sql string) shardPlan {
 	a.planMu.Lock()
 	plan, ok := a.plans[sql]
@@ -78,16 +78,27 @@ func (a *App) classify(sql string) shardPlan {
 	return plan
 }
 
-// parseStatement classifies one statement: whether it is transaction
-// control (rejected on the replicated path), and whether it is a SELECT
-// confined to a single table and free of the agreed-nondeterminism
-// functions — such a statement may execute concurrently with other
-// shardable SELECTs over a private pager.
+// parseStatement classifies one statement text and, for a shardable
+// one, precomputes its conflict keyset.
 func parseStatement(sql string) shardPlan {
 	st, _, err := sqldb.Parse(sql)
 	if err != nil {
 		return shardPlan{} // let the engine produce its own parse error
 	}
+	plan := statementPlan(st)
+	if plan.shardable {
+		plan.key = [][]byte{[]byte("table:" + plan.table)}
+	}
+	return plan
+}
+
+// statementPlan classifies one parsed statement, without a keyset:
+// whether it is transaction control (rejected on the replicated path),
+// and whether it is a SELECT confined to a single table and free of the
+// agreed-nondeterminism functions — such a statement may execute
+// concurrently with other shardable SELECTs over a private pager. A nil
+// statement (one that did not parse) is neither.
+func statementPlan(st sqldb.Stmt) shardPlan {
 	switch st.(type) {
 	case *sqldb.BeginStmt, *sqldb.CommitStmt, *sqldb.RollbackStmt:
 		return shardPlan{txnControl: true}
@@ -112,11 +123,7 @@ func parseStatement(sql string) shardPlan {
 	if exprDeterministic(sel.Limit) != nil {
 		return shardPlan{}
 	}
-	return shardPlan{
-		table:     sel.Table,
-		shardable: true,
-		key:       [][]byte{[]byte("table:" + sel.Table)},
-	}
+	return shardPlan{table: sel.Table, shardable: true}
 }
 
 // nonDetCall marks an expression tree containing now() or random().
