@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -45,6 +46,9 @@ func initLeaf(data []byte) {
 	data[0] = pageLeaf
 }
 
+// decodeLeaf returns a leaf page's cells. Their payloads alias data,
+// which the pager never writes in place (see Pager.Get): a caller must
+// not write into them either.
 func decodeLeaf(data []byte) (cells []leafCell, next uint32, err error) {
 	if data[0] != pageLeaf {
 		return nil, 0, fmt.Errorf("sqldb: page is not a leaf (type %d)", data[0])
@@ -63,10 +67,8 @@ func decodeLeaf(data []byte) (cells []leafCell, next uint32, err error) {
 		if off+plen > len(data) {
 			return nil, 0, fmt.Errorf("sqldb: corrupt leaf cell")
 		}
-		payload := make([]byte, plen)
-		copy(payload, data[off:off+plen])
+		cells = append(cells, leafCell{rowid: rowid, payload: data[off : off+plen : off+plen]})
 		off += plen
-		cells = append(cells, leafCell{rowid: rowid, payload: payload})
 	}
 	return cells, next, nil
 }
@@ -340,6 +342,83 @@ func (t *BTree) Insert(rowid int64, payload []byte) error {
 	cells, right := addSeparators(nil, 0, 0, leftPg, ups)
 	newRoot, _ := encodeInterior(cells, right)
 	return t.pager.Put(t.root, newRoot)
+}
+
+// insertRun stores each row's payload under its rowid, leaving every page
+// byte-identical to Inserting the rows one at a time in order. A row past
+// the last cell of its leaf is appended there together with the rows
+// after it that ascend, stay in that leaf's key range and still fit it:
+// one page build for all of them. Any other row, and the first that does
+// not fit, goes through Insert, and the run carries on from there.
+func (t *BTree) insertRun(rows []leafCell) error {
+	if len(rows) == 1 {
+		return t.Insert(rows[0].rowid, rows[0].payload)
+	}
+	for len(rows) > 0 {
+		n, err := t.appendRun(rows)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			if err := t.Insert(rows[0].rowid, rows[0].payload); err != nil {
+				return err
+			}
+			n = 1
+		}
+		rows = rows[n:]
+	}
+	return nil
+}
+
+// appendRun descends to the leaf covering rows[0] once, carrying the
+// upper bound of the key range the path leads to, and appends to it as
+// many leading rows as it can in one page build. It returns how many it
+// stored: 0 when rows[0] lands before one of the leaf's cells or does
+// not fit.
+func (t *BTree) appendRun(rows []leafCell) (int, error) {
+	pgno, hi := t.root, int64(math.MaxInt64)
+	for {
+		data, err := t.pager.Get(pgno)
+		if err != nil {
+			return 0, err
+		}
+		switch data[0] {
+		case pageLeaf:
+			pos, err := locateLeaf(data, rows[0].rowid)
+			if err != nil || pos.idx < pos.n {
+				return 0, err
+			}
+			end, k := pos.end, 0
+			for ; k < len(rows); k++ {
+				r := rows[k]
+				if r.rowid > hi || (k > 0 && r.rowid <= rows[k-1].rowid) || end+leafCellOvh+len(r.payload) > PageSize {
+					break
+				}
+				end += leafCellOvh + len(r.payload)
+			}
+			if k == 0 {
+				return 0, nil
+			}
+			page := spliceLeaf(data, pos.end, pos.end, pos.end, end-pos.end, pos.n+k)
+			off := pos.end
+			for _, r := range rows[:k] {
+				putLeafCell(page[off:], r.rowid, r.payload)
+				off += leafCellOvh + len(r.payload)
+			}
+			return k, t.pager.Put(pgno, page)
+		case pageInterior:
+			child, ci, err := interiorChild(data, rows[0].rowid)
+			if err != nil {
+				return 0, err
+			}
+			if ci < int(data[1])<<8|int(data[2]) {
+				hi = min(hi, int64(getU64(data[pageHdrSize+ci*intCellSize:])))
+			}
+			pgno = child
+		default:
+			return 0, fmt.Errorf("sqldb: corrupt page %d", pgno)
+		}
+	}
 }
 
 // insertInto descends. When the node at pgno splits it returns one cell

@@ -104,11 +104,16 @@ func TestPagerCacheMatchesFileAcrossStatements(t *testing.T) {
 			defer db.Close()
 			p := db.Pager()
 			text := func(n int) Value { return Text(strings.Repeat(string(rune('a'+rnd.Intn(26))), n)) }
+			// A row's payload is its text plus 18 bytes.
 			rowSize := func() int {
-				if rnd.Intn(10) < 7 {
+				switch r := rnd.Intn(5); {
+				case r < 2:
+					return 1280 + rnd.Intn(56) // three per leaf
+				case r < 4:
 					return 2100 + rnd.Intn(1400) // one per leaf
+				default:
+					return 10 + rnd.Intn(200)
 				}
-				return 10 + rnd.Intn(200)
 			}
 			stmt := func(sql string, args ...Value) error {
 				_, err := db.Exec(sql, args...)
@@ -127,8 +132,30 @@ func TestPagerCacheMatchesFileAcrossStatements(t *testing.T) {
 				snapshot = checkNoInPlaceWrites(t, p, snapshot, step)
 			}
 			mustStmt("CREATE TABLE t (k INTEGER, v TEXT)")
-			nextRow, failed, syncFailed := int64(1), 0, 0
-			for step := 0; step < 320; step++ {
+			cat, err := openCatalog(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := cat.lookup("t")
+			if err != nil || meta == nil {
+				t.Fatalf("lookup t: %v %v", meta, err)
+			}
+			tree := NewBTree(p, meta.Root) // a root page never moves
+			// splitWays predicts how many pages an UPDATE setting rowid's
+			// v leaves its leaf's cells on.
+			splitWays := func(rowid int64, v Value) int {
+				old, found, err := tree.Get(rowid)
+				if err != nil || !found {
+					return 0
+				}
+				vals, err := DecodeRow(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return leafSplitWays(t, tree, rowid, EncodeRow([]Value{vals[0], v}))
+			}
+			nextRow, failed, syncFailed, threeWay := int64(1), 0, 0, 0
+			for step := 0; step < 400; step++ {
 				var label string
 				switch op := rnd.Intn(20); {
 				case op < 11: // multi-row insert; sometimes the last row is too big
@@ -161,7 +188,19 @@ func TestPagerCacheMatchesFileAcrossStatements(t *testing.T) {
 				case op < 14: // rewrite a row in the middle, often growing it
 					// A row grown between two big neighbours splits its
 					// leaf three ways.
-					mustStmt("UPDATE t SET v = ? WHERE rowid = ?", text(rowSize()), Int(1+rnd.Int63n(nextRow)))
+					v, rowid := text(rowSize()), 1+rnd.Int63n(nextRow)
+					if rnd.Intn(2) == 0 {
+						// Grow a row past two thirds of a page, looking a
+						// few times for one between two big neighbours.
+						v = text(2800 + rnd.Intn(MaxPayload-18-2800+1))
+						for try := 0; try < 8 && splitWays(rowid, v) != 3; try++ {
+							rowid = 1 + rnd.Int63n(nextRow)
+						}
+					}
+					if splitWays(rowid, v) == 3 {
+						threeWay++
+					}
+					mustStmt("UPDATE t SET v = ? WHERE rowid = ?", v, Int(rowid))
 					label = "update"
 				case op < 15:
 					lo := 1 + rnd.Int63n(nextRow)
@@ -206,13 +245,9 @@ func TestPagerCacheMatchesFileAcrossStatements(t *testing.T) {
 			if failed == 0 || (durable && syncFailed == 0) {
 				t.Fatalf("no statement rolled back (%d failed inserts, %d failed syncs)", failed, syncFailed)
 			}
-			cat, err := openCatalog(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			meta, err := cat.lookup("t")
-			if err != nil || meta == nil {
-				t.Fatalf("lookup t: %v %v", meta, err)
+			t.Logf("%d UPDATEs split a leaf three ways", threeWay)
+			if threeWay == 0 {
+				t.Fatal("no UPDATE split a leaf three ways")
 			}
 			// Height 3 with at least two root cells: the root split as an
 			// interior node, and an interior node below it split too.

@@ -456,18 +456,22 @@ func (d *DB) execInsert(st *InsertStmt, args []Value) (Result, error) {
 			colIdx = append(colIdx, idx)
 		}
 	}
-	tree := NewBTree(d.pager, meta.Root)
+	want := len(meta.Cols)
+	if len(st.Cols) > 0 {
+		want = len(st.Cols)
+	}
+	// Every row is evaluated and size-checked before the first tree write:
+	// inside an explicit transaction nothing would undo the rows a failing
+	// statement had already stored.
+	ncols := len(meta.Cols)
+	vals := make([]Value, len(st.Rows)*ncols)
+	size := 0
 	env := &evalEnv{db: d, args: args}
-	res := Result{}
-	for _, rowExprs := range st.Rows {
-		want := len(meta.Cols)
-		if len(st.Cols) > 0 {
-			want = len(st.Cols)
-		}
+	for r, rowExprs := range st.Rows {
 		if len(rowExprs) != want {
 			return Result{}, fmt.Errorf("sqldb: %d values for %d columns", len(rowExprs), want)
 		}
-		row := make([]Value, len(meta.Cols))
+		row := vals[r*ncols : (r+1)*ncols]
 		for i, e := range rowExprs {
 			v, err := env.eval(e)
 			if err != nil {
@@ -479,13 +483,27 @@ func (d *DB) execInsert(st *InsertStmt, args []Value) (Result, error) {
 				row[i] = v
 			}
 		}
-		rowid := meta.NextRowID
-		meta.NextRowID++
-		if err := tree.Insert(rowid, EncodeRow(row)); err != nil {
-			return Result{}, err
+		n := rowSize(row)
+		if n > MaxPayload {
+			return Result{}, fmt.Errorf("sqldb: row of %d bytes exceeds the %d-byte limit", n, MaxPayload)
 		}
-		res.RowsAffected++
-		res.LastInsertID = rowid
+		size += n
+	}
+	// The rows take consecutive rowids and share one encoding buffer.
+	buf := make([]byte, 0, size)
+	cells := make([]leafCell, len(st.Rows))
+	for r := range cells {
+		start := len(buf)
+		buf = appendRow(buf, vals[r*ncols:(r+1)*ncols])
+		cells[r] = leafCell{rowid: meta.NextRowID, payload: buf[start:len(buf):len(buf)]}
+		meta.NextRowID++
+	}
+	if err := NewBTree(d.pager, meta.Root).insertRun(cells); err != nil {
+		return Result{}, err
+	}
+	res := Result{RowsAffected: int64(len(cells))}
+	if len(cells) > 0 {
+		res.LastInsertID = cells[len(cells)-1].rowid
 	}
 	if err := cat.update(meta); err != nil {
 		return Result{}, err

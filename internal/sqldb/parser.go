@@ -11,6 +11,9 @@ type parser struct {
 	toks   []token
 	pos    int
 	params int
+	// lits holds the statement's LiteralExpr nodes, one per literal
+	// token, so a row of literal VALUES costs no allocation per value.
+	lits []LiteralExpr
 }
 
 // Parse parses a single SQL statement. It returns the statement and the
@@ -21,6 +24,9 @@ func Parse(src string) (Stmt, int, error) {
 		return nil, 0, err
 	}
 	p := &parser{toks: toks}
+	if n := literalTokens(toks); n > 0 {
+		p.lits = make([]LiteralExpr, 0, n)
+	}
 	st, err := p.statement()
 	if err != nil {
 		return nil, 0, err
@@ -31,6 +37,30 @@ func Parse(src string) (Stmt, int, error) {
 		return nil, 0, fmt.Errorf("sqldb: trailing input at %d: %q", p.cur().pos, p.cur().text)
 	}
 	return st, p.params, nil
+}
+
+// literalTokens counts the tokens primary turns into a LiteralExpr.
+func literalTokens(toks []token) int {
+	n := 0
+	for _, t := range toks {
+		switch t.kind {
+		case tkInt, tkFloat, tkString:
+			n++
+		case tkKeyword:
+			if t.text == "NULL" {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// literal returns a LiteralExpr node for v from the statement's slab.
+// Parse sized the slab to the literal tokens, so it never grows; if it
+// did, the nodes already handed out would stay in the old array, intact.
+func (p *parser) literal(v Value) *LiteralExpr {
+	p.lits = append(p.lits, LiteralExpr{Val: v})
+	return &p.lits[len(p.lits)-1]
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -220,11 +250,14 @@ func (p *parser) insert() (Stmt, error) {
 	if err := p.expectKw("VALUES"); err != nil {
 		return nil, err
 	}
+	// Rows are presized to the column list, or else to the widest row
+	// so far.
+	width := len(st.Cols)
 	for {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		row := make([]Expr, 0, width)
 		for {
 			e, err := p.expression()
 			if err != nil {
@@ -240,6 +273,7 @@ func (p *parser) insert() (Stmt, error) {
 			return nil, err
 		}
 		st.Rows = append(st.Rows, row)
+		width = max(width, len(row))
 		if p.acceptOp(",") {
 			continue
 		}
@@ -435,8 +469,8 @@ func (p *parser) notExpr() (Expr, error) {
 
 func (p *parser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
+	if err != nil || p.cur().kind != tkOp {
+		return l, err
 	}
 	for _, op := range []string{"=", "!=", "<=", ">=", "<", ">"} {
 		if p.acceptOp(op) {
@@ -520,17 +554,17 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: bad integer %q", t.text)
 		}
-		return &LiteralExpr{Val: Int(v)}, nil
+		return p.literal(Int(v)), nil
 	case tkFloat:
 		p.pos++
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: bad number %q", t.text)
 		}
-		return &LiteralExpr{Val: Real(v)}, nil
+		return p.literal(Real(v)), nil
 	case tkString:
 		p.pos++
-		return &LiteralExpr{Val: Text(t.text)}, nil
+		return p.literal(Text(t.text)), nil
 	case tkParam:
 		p.pos++
 		idx := p.params
@@ -539,7 +573,7 @@ func (p *parser) primary() (Expr, error) {
 	case tkKeyword:
 		if t.text == "NULL" {
 			p.pos++
-			return &LiteralExpr{Val: Null()}, nil
+			return p.literal(Null()), nil
 		}
 		return nil, fmt.Errorf("sqldb: unexpected keyword %q in expression", t.text)
 	case tkIdent:

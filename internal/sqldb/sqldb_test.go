@@ -50,6 +50,9 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 	for i, row := range rows {
 		enc := EncodeRow(row)
+		if len(enc) != rowSize(row) {
+			t.Fatalf("row %d: encodes to %d bytes, rowSize says %d", i, len(enc), rowSize(row))
+		}
 		got, err := DecodeRow(enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)

@@ -291,11 +291,34 @@ func decodeValue(b []byte) (Value, int, error) {
 
 // EncodeRow serializes a row of values.
 func EncodeRow(vals []Value) []byte {
-	out := appendU32(nil, uint32(len(vals)))
+	return appendRow(make([]byte, 0, rowSize(vals)), vals)
+}
+
+// appendRow appends the serialized row to dst.
+func appendRow(dst []byte, vals []Value) []byte {
+	dst = appendU32(dst, uint32(len(vals)))
 	for _, v := range vals {
-		out = encodeValue(out, v)
+		dst = encodeValue(dst, v)
 	}
-	return out
+	return dst
+}
+
+// rowSize is the length of the row's serialization.
+func rowSize(vals []Value) int {
+	n := 4
+	for _, v := range vals {
+		switch v.T {
+		case TInt, TReal:
+			n += 9
+		case TText:
+			n += 5 + len(v.S)
+		case TBlob:
+			n += 5 + len(v.Blob)
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // DecodeRow parses a serialized row.
