@@ -13,14 +13,6 @@
 //	curl -s localhost:8080/query -d '{"sql":"SELECT voter, vote FROM votes"}'
 //	curl -s localhost:8080/exec  -d '{"sql":"INSERT INTO votes (voter, vote, ts, rnd) VALUES (?,?,now(),random())","args":["alice","yes"]}'
 //
-// With -partitions N the gateway fronts a partitioned deployment of N
-// independent PBFT groups (ARCHITECTURE.md "Partition layer"): group g's
-// deployment is loaded from <dir>/group-<g>/config.json, one client
-// session runs per group, and each statement routes to the group owning
-// the table it names (sqlstate.PartitionKeys); statements that name no
-// table go to the deterministic home group. Cross-group transactions are
-// not linearized — each table lives entirely within one group.
-//
 // The paper's caveat applies and is worth repeating: the gateway is a
 // centralized component in front of a decentralized service. Each
 // organization should run its own gateway (or embed the client library
@@ -30,6 +22,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -57,66 +50,42 @@ func run() error {
 	join := flag.String("join", "", "join dynamically with this identification buffer")
 	id := flag.Uint("id", 0, "static client id (when not joining)")
 	pipeline := flag.Int("pipeline", 0, "requests kept in flight at once (0 = deployment window)")
-	partitions := flag.Int("partitions", 1, "consensus groups (>1 loads <dir>/group-<g>/config.json per group and routes by table)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	flag.Parse()
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
 		return fmt.Errorf("bad -log-level %q: %w", *logLevel, err)
 	}
-	if *partitions < 1 {
-		return fmt.Errorf("bad -partitions %d: need at least one group", *partitions)
-	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	copts := []pbft.ClientOption{pbft.WithPipelineDepth(*pipeline)}
 
-	// The gateway's UDP endpoints run the same syscall-batched transport
-	// as the replicas; register them so /metrics carries the pbft_udp_*
-	// batching series alongside the HTTP request counters. Partitioned
-	// mode registers each group's endpoint under its group label.
+	cl, conn, err := dial(*dir, *join, *id, copts)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	// The gateway's UDP endpoint runs the same syscall-batched transport
+	// as the replicas; register it so /metrics carries the pbft_udp_*
+	// batching series alongside the HTTP request counters.
 	udp := metrics.New()
-
-	var service invoker
-	if *partitions > 1 {
-		sessions := make([]*pbft.Client, 0, *partitions)
-		closeAll := func() {
-			for _, s := range sessions {
-				s.Close()
-			}
-		}
-		for g := 0; g < *partitions; g++ {
-			cl, conn, err := dialGroup(filepath.Join(*dir, fmt.Sprintf("group-%d", g)), *join, *id, copts)
-			if err != nil {
-				closeAll()
-				return fmt.Errorf("group %d: %w", g, err)
-			}
-			if uc, ok := conn.(*pbft.UDPConn); ok {
-				udp.Group(g).AddTransport(cl.ID(), uc.BatchStats)
-			}
-			sessions = append(sessions, cl)
-		}
-		defer closeAll()
-		router, err := pbft.NewPartitionRouter(pbft.UniformPartitionMap(*partitions), sqlstate.PartitionKeys)
-		if err != nil {
-			return err
-		}
-		service, err = pbft.NewPartitionedClient(router, sessions)
-		if err != nil {
-			return err
-		}
-	} else {
-		cl, conn, err := dialGroup(*dir, *join, *id, copts)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		if uc, ok := conn.(*pbft.UDPConn); ok {
-			udp.AddTransport(cl.ID(), uc.BatchStats)
-		}
-		service = cl
+	if uc, ok := conn.(*pbft.UDPConn); ok {
+		udp.AddTransport(cl.ID(), uc.BatchStats)
 	}
 
-	gw := &gateway{client: service, metrics: metrics.NewClient()}
+	gw := &gateway{client: cl, metrics: metrics.NewClient()}
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           newMux(gw, udp),
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	logger.Info("gateway listening", "addr", *listen, "pipeline", *pipeline)
+	return srv.ListenAndServe()
+}
+
+// newMux routes the gateway's endpoints: /exec and /query for SQL,
+// /metrics for the client latency series plus the UDP endpoint's
+// batching counters, and /healthz.
+func newMux(gw *gateway, udp *metrics.Metrics) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/exec", gw.handleExec)
 	mux.HandleFunc("/query", gw.handleQuery)
@@ -128,20 +97,13 @@ func run() error {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	logger.Info("gateway listening",
-		"addr", *listen, "partitions", *partitions, "pipeline", *pipeline)
-	return srv.ListenAndServe()
+	return mux
 }
 
-// dialGroup builds the client session for one deployment directory:
-// either a dynamic client joining with the -join buffer, or the static
-// identity -id from the deployment's key files.
-func dialGroup(dir, join string, id uint, copts []pbft.ClientOption) (*pbft.Client, pbft.Conn, error) {
+// dial builds the client session for the deployment directory: either a
+// dynamic client joining with the -join buffer, or the static identity
+// -id from the deployment's key files.
+func dial(dir, join string, id uint, copts []pbft.ClientOption) (*pbft.Client, pbft.Conn, error) {
 	dep, err := pbft.LoadDeployment(filepath.Join(dir, "config.json"))
 	if err != nil {
 		return nil, nil, err
@@ -195,21 +157,12 @@ func dialGroup(dir, join string, id uint, copts []pbft.ClientOption) (*pbft.Clie
 	return cl, conn, nil
 }
 
-// invoker is what a handler needs from the replicated service: the
-// ordered and read-only optimized call paths. Both the single-group
-// pbft.Client and the routing pbft.PartitionedClient satisfy it, so the
-// handlers are identical in either mode.
-type invoker interface {
-	Invoke(ctx context.Context, op []byte) ([]byte, error)
-	InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error)
-}
-
-// gateway multiplexes HTTP requests over one concurrent PBFT client
-// (or one per partition group): handlers submit directly and each
-// client pipelines up to its window, blocking the excess — one endpoint
-// serves many simultaneous users without a client identity per user.
+// gateway multiplexes HTTP requests over one concurrent PBFT client:
+// handlers submit directly and the client pipelines up to its window,
+// blocking the excess — one endpoint serves many simultaneous users
+// without a client identity per user.
 type gateway struct {
-	client invoker
+	client *pbft.Client
 	// metrics aggregates request counts and PBFT call latency, exposed
 	// at /metrics in the Prometheus text format.
 	metrics *metrics.ClientMetrics
@@ -243,9 +196,16 @@ func (g *gateway) handle(w http.ResponseWriter, r *http.Request, query bool) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// A body over one datagram could never be sent to the replicas, so
+	// it is refused before it is read in full.
 	var req sqlRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, sqlResponse{Error: "bad request: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, pbft.MaxDatagram)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, sqlResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	if query && !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(req.SQL)), "SELECT") {

@@ -94,10 +94,9 @@ func splitCounterOp(op []byte) (verb, name []byte) {
 // its storage slot; legacy unkeyed operations are barriers.
 func (a *CounterApp) Keys(op []byte) [][]byte { return CounterKeys(op) }
 
-// CounterKeys is CounterApp's conflict keyset as a standalone function:
-// the partition router uses the same keysets for data placement that the
-// exec engine uses for conflict detection, and the router side has no
-// application instance in hand.
+// CounterKeys is CounterApp's conflict keyset as a standalone function,
+// for callers that have no application instance in hand (the benchmark
+// uses it to name the storage cell a counter lands in).
 func CounterKeys(op []byte) [][]byte {
 	verb, name := splitCounterOp(op)
 	if len(name) == 0 {

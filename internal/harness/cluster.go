@@ -1,8 +1,7 @@
 // Package harness assembles in-process PBFT clusters over the simulated
-// network: replicas, pre-provisioned and dynamic clients, the test
-// applications, and partitioned multi-group deployments. The integration
-// tests drive it directly; the benchmark (bench/) builds its clusters
-// through it.
+// network: replicas, pre-provisioned and dynamic clients and the test
+// applications. The integration tests drive it directly; the benchmark
+// (bench/) builds its clusters through it.
 package harness
 
 import (

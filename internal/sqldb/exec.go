@@ -535,12 +535,15 @@ func (d *DB) execUpdate(st *UpdateStmt, args []Value) (Result, error) {
 		}
 		setIdx[i] = idx
 	}
-	tree := NewBTree(d.pager, meta.Root)
+	// Every new row is evaluated, size-checked and encoded before the
+	// first tree write, as in execInsert: inside an explicit transaction
+	// nothing would undo the rows a failing statement had already changed.
 	env := &evalEnv{db: d, table: meta, args: args}
-	res := Result{}
-	for _, m := range matches {
+	payloads := make([][]byte, len(matches))
+	var newRow []Value
+	for j, m := range matches {
 		env.row, env.rowid = m.vals, m.rowid
-		newRow := append([]Value(nil), m.vals...)
+		newRow = append(newRow[:0], m.vals...)
 		for len(newRow) < len(meta.Cols) {
 			newRow = append(newRow, Null())
 		}
@@ -551,12 +554,19 @@ func (d *DB) execUpdate(st *UpdateStmt, args []Value) (Result, error) {
 			}
 			newRow[setIdx[i]] = v
 		}
-		if err := tree.Insert(m.rowid, EncodeRow(newRow)); err != nil {
+		n := rowSize(newRow)
+		if n > MaxPayload {
+			return Result{}, fmt.Errorf("sqldb: row of %d bytes exceeds the %d-byte limit", n, MaxPayload)
+		}
+		payloads[j] = appendRow(make([]byte, 0, n), newRow)
+	}
+	tree := NewBTree(d.pager, meta.Root)
+	for j, m := range matches {
+		if err := tree.Insert(m.rowid, payloads[j]); err != nil {
 			return Result{}, err
 		}
-		res.RowsAffected++
 	}
-	return res, nil
+	return Result{RowsAffected: int64(len(matches))}, nil
 }
 
 func (d *DB) execDelete(st *DeleteStmt, args []Value) (Result, error) {

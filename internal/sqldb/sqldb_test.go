@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -266,6 +267,39 @@ func TestTransactionsCommitRollback(t *testing.T) {
 		t.Fatalf("nested begin: %v", err)
 	}
 	mustExec(t, db, "COMMIT")
+}
+
+// TestFailedUpdateLeavesRowsInTransaction: an UPDATE whose second row
+// fails leaves the first row as it was, so inside an explicit transaction
+// (where no statement rollback runs) COMMIT stores no half-done UPDATE.
+func TestFailedUpdateLeavesRowsInTransaction(t *testing.T) {
+	for _, c := range []struct{ name, update string }{
+		// TEXT + TEXT concatenates: rowid 1 grows to 1 501 bytes, rowid 2
+		// past MaxPayload.
+		{"size", "UPDATE t SET v = v + ?"},
+		// OR short-circuits on rowid 1, so only rowid 2 calls the unknown
+		// function.
+		{"eval", "UPDATE t SET v = (rowid = 1 OR nosuchfn(?))"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, _ := openTestDB(t)
+			mustExec(t, db, "CREATE TABLE t (v TEXT)")
+			mustExec(t, db, "INSERT INTO t VALUES (?), (?)", Text("a"), Text(strings.Repeat("b", 3000)))
+			mustExec(t, db, "BEGIN")
+			if _, err := db.Exec(c.update, Text(strings.Repeat("c", 1500))); err == nil {
+				t.Fatal("the failing UPDATE was accepted")
+			}
+			mustExec(t, db, "COMMIT")
+			rows := mustQuery(t, db, "SELECT rowid, v FROM t WHERE rowid = 1")
+			if got := fmt.Sprint(rows.Data); got != `[[1 "a"]]` {
+				t.Fatalf("rowid 1 holds %.40s, want \"a\"", got)
+			}
+			rows = mustQuery(t, db, "SELECT length(v) FROM t WHERE rowid = 2")
+			if got := rows.Data[0][0].I; got != 3000 {
+				t.Fatalf("rowid 2 holds %d bytes, want 3000", got)
+			}
+		})
+	}
 }
 
 func TestFailedStatementRollsBackAutocommit(t *testing.T) {

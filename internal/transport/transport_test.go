@@ -287,7 +287,7 @@ func TestUDPOversizedDatagramRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	err = a.Send(a.Addr(), make([]byte, maxDatagram+1))
+	err = a.Send(a.Addr(), make([]byte, MaxDatagram+1))
 	if err == nil {
 		t.Fatal("oversized datagram must be rejected")
 	}
@@ -298,7 +298,7 @@ func TestUDPOversizedDatagramRejected(t *testing.T) {
 		t.Fatalf("OversizedSends = %d, want 1", got)
 	}
 	// The broadcast path counts one refusal per destination.
-	err = a.Broadcast([]string{a.Addr(), a.Addr()}, make([]byte, maxDatagram+1))
+	err = a.Broadcast([]string{a.Addr(), a.Addr()}, make([]byte, MaxDatagram+1))
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("broadcast error %v must wrap ErrTooLarge", err)
 	}

@@ -9,11 +9,12 @@ import (
 	"repro/internal/wire"
 )
 
-// maxDatagram is the largest datagram the UDP transport sends or receives.
-// The original PBFT implementation fragmented larger messages; we keep
-// protocol messages under this bound (state pages are 4 KiB) and let the
-// OS fragment at the IP layer when needed.
-const maxDatagram = 64 << 10
+// MaxDatagram is the largest datagram the UDP transport sends or
+// receives; larger sends fail with ErrTooLarge. The original PBFT
+// implementation fragmented larger messages; we keep protocol messages
+// under this bound (state pages are 4 KiB) and let the OS fragment at the
+// IP layer when needed.
+const MaxDatagram = 64 << 10
 
 // udpBatch is the syscall batching factor: how many datagrams one
 // recvmmsg/sendmmsg call moves at most. Under light load batches degrade
@@ -27,7 +28,7 @@ type UDPConn struct {
 	sock    *net.UDPConn
 	addr    string
 	ch      chan Packet
-	recvBuf int // receive-ring buffer size (maxDatagram; tests shrink it)
+	recvBuf int // receive-ring buffer size (MaxDatagram; tests shrink it)
 
 	oversized atomic.Uint64
 	truncated atomic.Uint64
@@ -151,7 +152,7 @@ func (c *UDPConn) BatchStats() BatchStats {
 // ListenUDP opens a UDP endpoint at addr (e.g. "127.0.0.1:7001"; a port of
 // 0 picks a free port).
 func ListenUDP(addr string) (*UDPConn, error) {
-	return listenUDPBuf(addr, maxDatagram)
+	return listenUDPBuf(addr, MaxDatagram)
 }
 
 // listenUDPBuf is ListenUDP with a configurable receive buffer size, so
@@ -191,9 +192,9 @@ func (c *UDPConn) Recv() <-chan Packet { return c.ch }
 // OversizedSends, so protocol-layer drops stay observable even when the
 // caller treats sends as best-effort.
 func (c *UDPConn) Send(to string, data []byte) error {
-	if len(data) > maxDatagram {
+	if len(data) > MaxDatagram {
 		c.oversized.Add(1)
-		return fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, len(data), maxDatagram)
+		return fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, len(data), MaxDatagram)
 	}
 	pa, err := c.resolve(to)
 	if err != nil {
@@ -214,9 +215,9 @@ func (c *UDPConn) Send(to string, data []byte) error {
 // one close check for the whole fan-out, and — where the platform has
 // sendmmsg — one syscall per udpBatch destinations instead of one each.
 func (c *UDPConn) Broadcast(addrs []string, data []byte) error {
-	if len(data) > maxDatagram {
+	if len(data) > MaxDatagram {
 		c.oversized.Add(uint64(len(addrs)))
-		return fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, len(data), maxDatagram)
+		return fmt.Errorf("%w: %d bytes over limit %d", ErrTooLarge, len(data), MaxDatagram)
 	}
 	c.mu.Lock()
 	closed := c.closed

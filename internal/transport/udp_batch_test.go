@@ -22,7 +22,7 @@ func newUnreadUDPConn(t *testing.T) *UDPConn {
 		sock:    sock,
 		addr:    sock.LocalAddr().String(),
 		ch:      make(chan Packet, 64),
-		recvBuf: maxDatagram,
+		recvBuf: MaxDatagram,
 		peers:   make(map[string]*peerAddr),
 		truncBy: make(map[string]uint64),
 	}

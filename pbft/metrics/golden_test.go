@@ -24,27 +24,15 @@ func (c *goldenClock) at(ms int) {
 	c.t = time.Unix(1_700_000_000, 0).Add(time.Duration(ms) * time.Millisecond)
 }
 
-// goldenSink is what a golden registry feeds: the registry itself or one
-// of its group views.
-type goldenSink interface {
-	pbft.Tracer
-	pbft.PhaseSink
-	AddReplica(id uint32, info func() pbft.ReplicaInfo)
-	AddTransport(id uint32, stats func() pbft.BatchStats)
-}
-
-// feedGolden drives one group's worth of every event kind through sink,
-// scaled by k so groups differ. The golden files were captured at the
-// commit before the one-method Tracer, with this function feeding the
-// same events through the six per-kind hooks; nothing else in the test
-// differed.
-func feedGolden(sink goldenSink, clk *goldenClock, k int) {
+// feedGolden drives every event kind through the registry. The golden
+// files were captured at the commit before the one-method Tracer, with
+// this function feeding the same events through the six per-kind hooks;
+// nothing else in the test differed.
+func feedGolden(sink *Metrics, clk *goldenClock) {
 	for r := uint32(0); r < 2; r++ {
 		for i, n := range []int{1, 3, 16, 200} {
-			for j := 0; j < k; j++ {
-				sink.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: r, View: 0, Seq: uint64(i + 1), Count: uint64(n), Tentative: i%2 == 1})
-				sink.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: r, View: 0, Seq: uint64(i + 1)})
-			}
+			sink.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: r, View: 0, Seq: uint64(i + 1), Count: uint64(n), Tentative: i%2 == 1})
+			sink.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: r, View: 0, Seq: uint64(i + 1)})
 		}
 		sink.OnEvent(pbft.Event{Kind: pbft.EvCheckpoint, Replica: r, Seq: 8})
 		sink.OnEvent(pbft.Event{Kind: pbft.EvCheckpointStable, Replica: r, Seq: 8})
@@ -57,7 +45,7 @@ func feedGolden(sink goldenSink, clk *goldenClock, k int) {
 	sink.OnEvent(pbft.Event{Kind: pbft.EvViewChangeStart, Replica: 1, View: 0, Target: 1})
 	clk.at(25)
 	sink.OnEvent(pbft.Event{Kind: pbft.EvViewChangeStart, Replica: 1, View: 0, Target: 2})
-	clk.at(40 * k)
+	clk.at(40)
 	sink.OnEvent(pbft.Event{Kind: pbft.EvViewChangeInstall, Replica: 1, View: 2, Target: 2})
 	sink.OnEvent(pbft.Event{Kind: pbft.EvViewChangeInstall, Replica: 0, View: 2, Target: 2})
 
@@ -66,7 +54,7 @@ func feedGolden(sink goldenSink, clk *goldenClock, k int) {
 	sink.OnEvent(pbft.Event{Kind: pbft.EvStateTransferFinish, Replica: 0, Seq: 16, Count: 12})
 	sink.OnEvent(pbft.Event{Kind: pbft.EvStateTransferStart, Replica: 1, Seq: 16})
 	sink.OnEvent(pbft.Event{Kind: pbft.EvStateTransferAbort, Replica: 1, Seq: 16})
-	for i := 0; i < 3*k; i++ {
+	for i := 0; i < 3; i++ {
 		sink.OnEvent(pbft.Event{Kind: pbft.EvSessionHello, Replica: 0, ClientID: uint32(4 + i)})
 	}
 	sink.OnEvent(pbft.Event{Kind: pbft.EvSessionJoin, Replica: 0, ClientID: 9})
@@ -76,7 +64,7 @@ func feedGolden(sink goldenSink, clk *goldenClock, k int) {
 
 	for r := uint32(0); r < 2; r++ {
 		sink.ObservePhase(r, pbft.PhaseVerifyDone, 3*time.Microsecond)
-		sink.ObservePhase(r, pbft.PhaseCommitQuorum, time.Duration(k)*700*time.Microsecond)
+		sink.ObservePhase(r, pbft.PhaseCommitQuorum, 700*time.Microsecond)
 		sink.ObservePhase(r, pbft.PhaseReplySent, 5*time.Second) // overflow bucket
 		sink.ObservePhase(r, pbft.PhaseEndToEnd, 1234567*time.Nanosecond)
 	}
@@ -84,9 +72,9 @@ func feedGolden(sink goldenSink, clk *goldenClock, k int) {
 }
 
 // goldenInfo is a diskless replica's gauges, every field distinct.
-func goldenInfo(id uint32, k int) func() pbft.ReplicaInfo {
+func goldenInfo(id uint32) func() pbft.ReplicaInfo {
 	return func() pbft.ReplicaInfo {
-		n := uint64(id)*100 + uint64(k)*1000
+		n := uint64(id) * 100
 		info := pbft.ReplicaInfo{
 			View: 2, LastExec: n + 17, LastStable: n + 16,
 			ExecQueueDepth: int(n) + 5, IngressBacklog: int(n) + 7,
@@ -142,8 +130,8 @@ func newGoldenRegistry() (*Metrics, *goldenClock) {
 }
 
 // TestGoldenExposition pins the Prometheus text exposition byte for
-// byte: a single-group registry, a multi-group one, one with durable
-// replicas and one with disk-image replicas, plus the client registry.
+// byte: a plain registry, one with durable replicas and one with
+// disk-image replicas, plus the client registry.
 // Run with -update to rewrite the files after an intended change.
 func TestGoldenExposition(t *testing.T) {
 	cases := map[string]func() []byte{
@@ -153,50 +141,32 @@ func TestGoldenExposition(t *testing.T) {
 		},
 		"single_group": func() []byte {
 			m, clk := newGoldenRegistry()
-			feedGolden(m, clk, 1)
-			m.AddReplica(0, goldenInfo(0, 0))
-			m.AddReplica(1, goldenInfo(1, 0))
+			feedGolden(m, clk)
+			m.AddReplica(0, goldenInfo(0))
+			m.AddReplica(1, goldenInfo(1))
 			m.AddTransport(0, goldenTransport(0))
 			m.AddTransport(1, goldenTransport(1))
 			return render(m.WritePrometheus)
 		},
-		"multi_group": func() []byte {
-			m, clk := newGoldenRegistry()
-			feedGolden(m, clk, 1) // the registry itself is group 0
-			for _, g := range []int{2, 1} {
-				v := m.Group(g)
-				feedGolden(v, clk, g+1)
-				v.AddReplica(1, goldenInfo(1, g))
-				v.AddReplica(0, goldenInfo(0, g))
-				v.AddTransport(0, goldenTransport(uint32(g)))
-			}
-			m.AddReplica(0, goldenInfo(0, 0))
-			m.AddTransport(3, goldenTransport(3))
-			// A durable and a disk-image replica inside a group: the
-			// gated families carry the group label too.
-			m.Group(1).AddReplica(2, func() pbft.ReplicaInfo { return goldenDurable(goldenInfo(2, 1)()) })
-			m.Group(2).AddReplica(2, func() pbft.ReplicaInfo { return goldenImage(goldenInfo(2, 2)()) })
-			return render(m.WritePrometheus)
-		},
 		"durable": func() []byte {
 			m, clk := newGoldenRegistry()
-			feedGolden(m, clk, 1)
-			m.AddReplica(0, goldenInfo(0, 0))
-			m.AddReplica(1, func() pbft.ReplicaInfo { return goldenDurable(goldenInfo(1, 0)()) })
-			m.AddReplica(2, func() pbft.ReplicaInfo { return goldenDurable(goldenInfo(2, 0)()) })
+			feedGolden(m, clk)
+			m.AddReplica(0, goldenInfo(0))
+			m.AddReplica(1, func() pbft.ReplicaInfo { return goldenDurable(goldenInfo(1)()) })
+			m.AddReplica(2, func() pbft.ReplicaInfo { return goldenDurable(goldenInfo(2)()) })
 			return render(m.WritePrometheus)
 		},
 		"image_flush": func() []byte {
 			m, clk := newGoldenRegistry()
-			feedGolden(m, clk, 1)
-			m.AddReplica(0, goldenInfo(0, 0))
-			m.AddReplica(1, func() pbft.ReplicaInfo { return goldenImage(goldenInfo(1, 0)()) })
-			m.AddReplica(2, func() pbft.ReplicaInfo { return goldenImage(goldenDurable(goldenInfo(2, 0)())) })
+			feedGolden(m, clk)
+			m.AddReplica(0, goldenInfo(0))
+			m.AddReplica(1, func() pbft.ReplicaInfo { return goldenImage(goldenInfo(1)()) })
+			m.AddReplica(2, func() pbft.ReplicaInfo { return goldenImage(goldenDurable(goldenInfo(2)())) })
 			return render(m.WritePrometheus)
 		},
 		"udp_only": func() []byte {
 			m, _ := newGoldenRegistry()
-			m.Group(1).AddTransport(0, goldenTransport(0))
+			m.AddTransport(0, goldenTransport(0))
 			m.AddTransport(1, goldenTransport(1))
 			return render(m.WriteUDPStats)
 		},

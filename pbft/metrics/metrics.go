@@ -42,32 +42,14 @@ type phaseKey struct {
 	phase   pbft.Phase
 }
 
-// Metrics implements pbft.Tracer by aggregation, with an optional GROUP
-// dimension for partitioned multi-group deployments: events recorded
-// through the registry itself land in group 0 (the single-group case),
-// while Group(g) returns a view that records into group g. A registry
-// holding only group 0 renders exactly the classic exposition; as soon
-// as a second group exists every per-group series gains a group label.
-// The zero value is not usable; construct with New.
+// Metrics implements pbft.Tracer by aggregation. The zero value is not
+// usable; construct with New.
 type Metrics struct {
 	mu sync.Mutex
 
-	// groups holds one counter set per consensus group. Group 0 always
-	// exists (it is the whole deployment when partitioning is off).
-	groups map[int]*groupState
-
-	now func() time.Time
-
-	infoMu     sync.Mutex
-	infos      []*replicaInfoSource
-	transports []transportSource
-	flights    []flightSource
-}
-
-// groupState is one group's aggregates: the event counters, kept in the
-// Snapshot shape they are handed out in, and the histograms beside them.
-type groupState struct {
-	counts Snapshot // counter fields only; snapshotLocked fills the rest
+	// counts holds the event counters in the Snapshot shape they are
+	// handed out in; snapshotLocked fills the rest.
+	counts Snapshot
 
 	batchSize  *histogram
 	vcDuration *histogram // seconds, start -> install per replica
@@ -82,36 +64,13 @@ type groupState struct {
 	// vcStart maps a replica's view-change start time until the install
 	// closes it (bounded by the replica count).
 	vcStart map[uint32]time.Time
-}
 
-func newGroupState() *groupState {
-	return &groupState{
-		batchSize:  newHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-		vcDuration: newHistogram([]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-		phases:     make(map[phaseKey]*histogram),
-		vcStart:    make(map[uint32]time.Time),
-	}
-}
+	now func() time.Time
 
-// group returns (creating if needed) group g's state. Callers hold m.mu.
-func (m *Metrics) group(g int) *groupState {
-	gs, ok := m.groups[g]
-	if !ok {
-		gs = newGroupState()
-		m.groups[g] = gs
-	}
-	return gs
-}
-
-// groupIDs returns the registered group ids, ascending. Callers hold
-// m.mu.
-func (m *Metrics) groupIDs() []int {
-	ids := make([]int, 0, len(m.groups))
-	for g := range m.groups {
-		ids = append(ids, g)
-	}
-	sort.Ints(ids)
-	return ids
+	infoMu     sync.Mutex
+	infos      []*replicaInfoSource
+	transports []transportSource
+	flights    []flightSource
 }
 
 // flightSource is one registered flight recorder's dump function,
@@ -126,7 +85,6 @@ type flightSource struct {
 // unlike replica gauges they need no timeout machinery.
 type transportSource struct {
 	id    uint32
-	group int
 	stats func() pbft.BatchStats
 }
 
@@ -136,9 +94,8 @@ type transportSource struct {
 // or pile up handler goroutines — a slow poll is abandoned to the single
 // outstanding goroutine and the scrape serves the last known values.
 type replicaInfoSource struct {
-	id    uint32
-	group int
-	info  func() pbft.ReplicaInfo
+	id   uint32
+	info func() pbft.ReplicaInfo
 
 	mu       sync.Mutex
 	last     pbft.ReplicaInfo
@@ -189,22 +146,12 @@ var phaseBounds = []float64{
 // New builds an empty registry.
 func New() *Metrics {
 	return &Metrics{
-		groups: map[int]*groupState{0: newGroupState()},
-		now:    time.Now,
+		batchSize:  newHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128}),
+		vcDuration: newHistogram([]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
+		phases:     make(map[phaseKey]*histogram),
+		vcStart:    make(map[uint32]time.Time),
+		now:        time.Now,
 	}
-}
-
-// Group returns a view of the registry that records into group g: its
-// OnEvent, ObservePhase, and Add* registrations are the per-group
-// analogues of the registry's own. Partitioned deployments hand group
-// g's replicas Group(g); everything else keeps using the registry
-// directly (group 0). Registering any group other than 0 switches the
-// exposition to group-labeled series.
-func (m *Metrics) Group(g int) *GroupView {
-	m.mu.Lock()
-	m.group(g)
-	m.mu.Unlock()
-	return &GroupView{m: m, g: g}
 }
 
 // ObservePhase implements the flight recorder's sink interface
@@ -213,17 +160,12 @@ func (m *Metrics) Group(g int) *GroupView {
 // whatever goroutine finalizes the timeline, so it does only a bounded
 // histogram insert under the registry mutex.
 func (m *Metrics) ObservePhase(replica uint32, phase pbft.Phase, d time.Duration) {
-	m.observePhase(0, replica, phase, d)
-}
-
-func (m *Metrics) observePhase(g int, replica uint32, phase pbft.Phase, d time.Duration) {
 	k := phaseKey{replica, phase}
 	m.mu.Lock()
-	gs := m.group(g)
-	h, ok := gs.phases[k]
+	h, ok := m.phases[k]
 	if !ok {
 		h = newHistogram(phaseBounds)
-		gs.phases[k] = h
+		m.phases[k] = h
 	}
 	h.observe(d.Seconds())
 	m.mu.Unlock()
@@ -242,12 +184,8 @@ func (m *Metrics) AddFlight(id uint32, dump func() pbft.FlightDump) {
 // at scrape time for queue-depth and backlog gauges. Safe to call while
 // serving.
 func (m *Metrics) AddReplica(id uint32, info func() pbft.ReplicaInfo) {
-	m.addReplica(0, id, info)
-}
-
-func (m *Metrics) addReplica(g int, id uint32, info func() pbft.ReplicaInfo) {
 	m.infoMu.Lock()
-	m.infos = append(m.infos, &replicaInfoSource{id: id, group: g, info: info})
+	m.infos = append(m.infos, &replicaInfoSource{id: id, info: info})
 	m.infoMu.Unlock()
 }
 
@@ -256,40 +194,32 @@ func (m *Metrics) addReplica(g int, id uint32, info func() pbft.ReplicaInfo) {
 // datagram totals plus datagrams-per-syscall occupancy histograms.
 // Safe to call while serving.
 func (m *Metrics) AddTransport(id uint32, stats func() pbft.BatchStats) {
-	m.addTransport(0, id, stats)
-}
-
-func (m *Metrics) addTransport(g int, id uint32, stats func() pbft.BatchStats) {
 	m.infoMu.Lock()
-	m.transports = append(m.transports, transportSource{id: id, group: g, stats: stats})
+	m.transports = append(m.transports, transportSource{id: id, stats: stats})
 	m.infoMu.Unlock()
 }
 
 // --- pbft.Tracer ---------------------------------------------------------
 
-// OnEvent implements pbft.Tracer: the event lands in group 0.
-func (m *Metrics) OnEvent(ev pbft.Event) { m.record(0, ev) }
-
-// record folds one event into group g's aggregates.
-func (m *Metrics) record(g int, ev pbft.Event) {
+// OnEvent implements pbft.Tracer: it folds one event into the aggregates.
+func (m *Metrics) OnEvent(ev pbft.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gs := m.group(g)
-	c := &gs.counts
+	c := &m.counts
 	switch ev.Kind {
 	case pbft.EvViewChangeStart:
 		c.ViewChangesStarted++
-		if _, running := gs.vcStart[ev.Replica]; !running {
+		if _, running := m.vcStart[ev.Replica]; !running {
 			// A cascade (start for v+1 after a stalled start for v) keeps
 			// the first start time: the sample measures how long the
 			// replica was without an operating view.
-			gs.vcStart[ev.Replica] = m.now()
+			m.vcStart[ev.Replica] = m.now()
 		}
 	case pbft.EvViewChangeInstall:
 		c.ViewChangesInstalled++
-		if s, ok := gs.vcStart[ev.Replica]; ok {
-			gs.vcDuration.observe(m.now().Sub(s).Seconds())
-			delete(gs.vcStart, ev.Replica)
+		if s, ok := m.vcStart[ev.Replica]; ok {
+			m.vcDuration.observe(m.now().Sub(s).Seconds())
+			delete(m.vcStart, ev.Replica)
 		}
 	case pbft.EvCheckpoint:
 		c.Checkpoints++
@@ -304,7 +234,7 @@ func (m *Metrics) record(g int, ev pbft.Event) {
 	case pbft.EvBatch:
 		c.Batches++
 		c.Requests += ev.Count
-		gs.batchSize.observe(float64(ev.Count))
+		m.batchSize.observe(float64(ev.Count))
 		if ev.Tentative {
 			c.TentativeBatches++
 		}
@@ -319,43 +249,6 @@ func (m *Metrics) record(g int, ev pbft.Event) {
 	case pbft.EvSessionEvict:
 		c.Evictions++
 	}
-}
-
-// --- Group views ---------------------------------------------------------
-
-// GroupView is a Metrics registry scoped to one consensus group of a
-// partitioned deployment: it implements pbft.Tracer and the
-// registration surface exactly like the registry itself, but every
-// event, gauge source, and transport it records carries the group id.
-// Views are cheap handles over the shared registry — hand each group's
-// replicas their own and scrape one endpoint for the whole deployment.
-type GroupView struct {
-	m *Metrics
-	g int
-}
-
-// ID returns the group id this view records into.
-func (v *GroupView) ID() int { return v.g }
-
-// OnEvent implements pbft.Tracer for the view's group.
-func (v *GroupView) OnEvent(ev pbft.Event) { v.m.record(v.g, ev) }
-
-// ObservePhase records one phase segment into the view's group
-// (pbft.PhaseSink).
-func (v *GroupView) ObservePhase(replica uint32, phase pbft.Phase, d time.Duration) {
-	v.m.observePhase(v.g, replica, phase, d)
-}
-
-// AddReplica registers a gauge source under the view's group: the
-// replica's gauges render with both group and replica labels.
-func (v *GroupView) AddReplica(id uint32, info func() pbft.ReplicaInfo) {
-	v.m.addReplica(v.g, id, info)
-}
-
-// AddTransport registers a UDP endpoint's syscall-batching counters
-// under the view's group.
-func (v *GroupView) AddTransport(id uint32, stats func() pbft.BatchStats) {
-	v.m.addTransport(v.g, id, stats)
 }
 
 // --- Snapshots -----------------------------------------------------------
@@ -391,58 +284,31 @@ type Snapshot struct {
 	Phases map[string]HistogramSnapshot
 }
 
-// snapshotLocked copies one group's aggregates. Callers hold m.mu.
-func (gs *groupState) snapshotLocked() Snapshot {
+// snapshotLocked copies the aggregates. Callers hold m.mu.
+func (m *Metrics) snapshotLocked() Snapshot {
 	var phases map[string]HistogramSnapshot
-	if len(gs.phases) > 0 {
-		phases = make(map[string]HistogramSnapshot, len(gs.phases))
-		for k, h := range gs.phases {
+	if len(m.phases) > 0 {
+		phases = make(map[string]HistogramSnapshot, len(m.phases))
+		for k, h := range m.phases {
 			phases[k.phase.String()] = phases[k.phase.String()].merge(h.snapshot())
 		}
 	}
-	out := gs.counts
-	out.BatchSize = gs.batchSize.snapshot()
-	out.ViewChangeDuration = gs.vcDuration.snapshot()
+	out := m.counts
+	out.BatchSize = m.batchSize.snapshot()
+	out.ViewChangeDuration = m.vcDuration.snapshot()
 	out.Phases = phases
 	return out
 }
 
-// Snapshot returns a consistent copy of the aggregates, summed across
-// every group (identical to the classic single-group snapshot when only
-// group 0 exists).
+// Snapshot returns a consistent copy of the aggregates.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := m.groupIDs()
-	out := m.groups[ids[0]].snapshotLocked()
-	for _, g := range ids[1:] {
-		out = out.add(m.groups[g].snapshotLocked())
-	}
-	return out
+	return m.snapshotLocked()
 }
 
-// GroupSnapshot returns a consistent copy of one group's aggregates (a
-// zero Snapshot for a group that was never registered).
-func (m *Metrics) GroupSnapshot(g int) Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gs, ok := m.groups[g]
-	if !ok {
-		return Snapshot{}
-	}
-	return gs.snapshotLocked()
-}
-
-// GroupIDs returns the ids of every registered group, ascending. A
-// non-partitioned registry reports just group 0.
-func (m *Metrics) GroupIDs() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.groupIDs()
-}
-
-// counters lists the snapshot's plain counter fields, so the cross-group
-// sum and the window delta walk one list.
+// counters lists the snapshot's plain counter fields, so the window
+// delta walks one list.
 func (s *Snapshot) counters() []*uint64 {
 	return []*uint64{
 		&s.Commits, &s.Batches, &s.Requests, &s.TentativeBatches,
@@ -451,28 +317,6 @@ func (s *Snapshot) counters() []*uint64 {
 		&s.StateTransfersStarted, &s.StateTransfersCompleted, &s.StateTransfersAborted,
 		&s.SessionHellos, &s.Joins, &s.Leaves, &s.Evictions,
 	}
-}
-
-// add sums another snapshot into this one (fresh maps, no aliasing) —
-// the cross-group fold behind the aggregate Snapshot.
-func (s Snapshot) add(o Snapshot) Snapshot {
-	out := s
-	oc := o.counters()
-	for i, c := range out.counters() {
-		*c += *oc[i]
-	}
-	out.BatchSize = s.BatchSize.merge(o.BatchSize)
-	out.ViewChangeDuration = s.ViewChangeDuration.merge(o.ViewChangeDuration)
-	if len(s.Phases) > 0 || len(o.Phases) > 0 {
-		out.Phases = make(map[string]HistogramSnapshot, len(s.Phases)+len(o.Phases))
-		for name, h := range s.Phases {
-			out.Phases[name] = h
-		}
-		for name, h := range o.Phases {
-			out.Phases[name] = out.Phases[name].merge(h)
-		}
-	}
-	return out
 }
 
 // Sub returns the delta s - prev (counters and histogram buckets are
@@ -620,7 +464,7 @@ func (h HistogramSnapshot) sub(prev HistogramSnapshot) HistogramSnapshot {
 // --- HTTP exposition -----------------------------------------------------
 
 // series is one row of an exposition table over sources of type T: a
-// group's Snapshot, a replica's polled ReplicaInfo, a UDP endpoint's
+// registry's Snapshot, a replica's polled ReplicaInfo, a UDP endpoint's
 // BatchStats. Consecutive rows sharing a name form one family — one
 // HELP/TYPE header, then each source's samples in row order.
 type series[T any] struct {
@@ -725,9 +569,8 @@ func counter(name, help string, pick func(Snapshot) uint64) series[Snapshot] {
 	return series[Snapshot]{name: name, typ: "counter", help: help, value: func(s Snapshot) any { return pick(s) }}
 }
 
-// groupSeries are the per-group aggregates, unlabeled in a single-group
-// registry and group-labeled otherwise.
-var groupSeries = []series[Snapshot]{
+// eventSeries are the event aggregates, rendered unlabeled.
+var eventSeries = []series[Snapshot]{
 	counter("pbft_commits_total", "Sequence numbers committed (2f+1 certificates).", func(s Snapshot) uint64 { return s.Commits }),
 	counter("pbft_batches_total", "Agreed batches handed to the execution engine.", func(s Snapshot) uint64 { return s.Batches }),
 	counter("pbft_requests_total", "Requests inside agreed batches.", func(s Snapshot) uint64 { return s.Requests }),
@@ -749,7 +592,7 @@ var groupSeries = []series[Snapshot]{
 		value: func(s Snapshot) any { return s.ViewChangeDuration }},
 }
 
-// phaseSeries is pbft_phase_seconds; its sources are the (phase, group,
+// phaseSeries is pbft_phase_seconds; its sources are the (phase,
 // replica) histograms the flight recorders fed.
 var phaseSeries = []series[HistogramSnapshot]{
 	{name: "pbft_phase_seconds", typ: "histogram", help: "Per-request lifecycle phase latency (adjacent stamp points; end_to_end is first to last).",
@@ -830,49 +673,31 @@ var replicaSeries = []series[pbft.ReplicaInfo]{
 }
 
 // WritePrometheus renders every aggregate — and one gauge set per
-// registered replica — in the Prometheus text exposition format. A
-// registry with only group 0 renders the classic unlabeled (and
-// replica-labeled) series; once any other group is registered every
-// per-group series carries a group label, so partitioned deployments
-// are queryable per group and per replica from one scrape.
+// registered replica — in the Prometheus text exposition format.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
-	ids := m.groupIDs()
-	multi := len(ids) > 1
-	groups := make([]source[Snapshot], 0, len(ids))
-	for _, g := range ids {
-		groups = append(groups, source[Snapshot]{groupLabel(multi, g), m.groups[g].snapshotLocked()})
-	}
-	// One pbft_phase_seconds histogram per (phase, group, replica), in
-	// that order so scrapes are deterministic.
-	type groupPhase struct {
-		group int
-		phaseKey
-	}
-	var keys []groupPhase
-	for _, g := range ids {
-		for k := range m.groups[g].phases {
-			keys = append(keys, groupPhase{g, k})
-		}
+	events := []source[Snapshot]{{"", m.snapshotLocked()}}
+	// One pbft_phase_seconds histogram per (phase, replica), in that
+	// order so scrapes are deterministic.
+	keys := make([]phaseKey, 0, len(m.phases))
+	for k := range m.phases {
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.phase != b.phase {
 			return a.phase < b.phase
 		}
-		if a.group != b.group {
-			return a.group < b.group
-		}
 		return a.replica < b.replica
 	})
 	phases := make([]source[HistogramSnapshot], 0, len(keys))
 	for _, k := range keys {
-		labels := joinLabels(groupLabel(multi, k.group), fmt.Sprintf("phase=%q,replica=\"%d\"", k.phase.String(), k.replica))
-		phases = append(phases, source[HistogramSnapshot]{labels, m.groups[k.group].phases[k.phaseKey].snapshot()})
+		labels := fmt.Sprintf("phase=%q,replica=\"%d\"", k.phase.String(), k.replica)
+		phases = append(phases, source[HistogramSnapshot]{labels, m.phases[k].snapshot()})
 	}
 	m.mu.Unlock()
 
-	writeSeries(w, groupSeries, groups)
+	writeSeries(w, eventSeries, events)
 	writeSeries(w, phaseSeries, phases)
 	m.WriteUDPStats(w)
 
@@ -881,38 +706,24 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.infoMu.Unlock()
 	replicas := make([]source[pbft.ReplicaInfo], 0, len(infos))
 	for _, src := range infos {
-		replicas = append(replicas, source[pbft.ReplicaInfo]{replicaLabel(multi, src.group, src.id), src.poll(gaugePollTimeout)})
+		replicas = append(replicas, source[pbft.ReplicaInfo]{replicaLabel(src.id), src.poll(gaugePollTimeout)})
 	}
 	writeSeries(w, replicaSeries, replicas)
 }
 
-// groupLabel is the group dimension: present only in multi-group
-// registries.
-func groupLabel(multi bool, g int) string {
-	if !multi {
-		return ""
-	}
-	return fmt.Sprintf("group=\"%d\"", g)
-}
-
-func replicaLabel(multi bool, g int, id uint32) string {
-	return joinLabels(groupLabel(multi, g), fmt.Sprintf("replica=\"%d\"", id))
-}
+func replicaLabel(id uint32) string { return fmt.Sprintf("replica=\"%d\"", id) }
 
 // WriteUDPStats renders only the pbft_udp_* transport series. Front-ends
 // that expose client metrics plus their own UDP endpoint counters
 // (pbft-gateway) and the bench's -metrics summary use it to surface the
 // syscall-batching numbers without the full replica exposition.
 func (m *Metrics) WriteUDPStats(w io.Writer) {
-	m.mu.Lock()
-	multi := len(m.groups) > 1
-	m.mu.Unlock()
 	m.infoMu.Lock()
 	transports := append([]transportSource(nil), m.transports...)
 	m.infoMu.Unlock()
 	srcs := make([]source[pbft.BatchStats], 0, len(transports))
 	for _, t := range transports {
-		srcs = append(srcs, source[pbft.BatchStats]{replicaLabel(multi, t.group, t.id), t.stats()})
+		srcs = append(srcs, source[pbft.BatchStats]{replicaLabel(t.id), t.stats()})
 	}
 	writeSeries(w, transportSeries, srcs)
 }

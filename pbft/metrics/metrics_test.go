@@ -339,80 +339,3 @@ func httpGet(t *testing.T, url string, wantStatus int) string {
 	}
 	return string(body)
 }
-
-func TestGroupViewsSplitCountersAndSnapshots(t *testing.T) {
-	m := New()
-	g0 := m.Group(0)
-	g1 := m.Group(1)
-	g0.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 2})
-	g0.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
-	g1.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 3})
-	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
-	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 2})
-	g1.ObservePhase(0, pbft.PhaseEndToEnd, 5*time.Millisecond)
-
-	if ids := m.GroupIDs(); len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
-		t.Fatalf("GroupIDs = %v, want [0 1]", ids)
-	}
-	s0, s1 := m.GroupSnapshot(0), m.GroupSnapshot(1)
-	if s0.Commits != 1 || s0.Requests != 2 {
-		t.Fatalf("group 0 snapshot = %+v", s0)
-	}
-	if s1.Commits != 2 || s1.Requests != 3 {
-		t.Fatalf("group 1 snapshot = %+v", s1)
-	}
-	if got := s1.Phases[pbft.PhaseEndToEnd.String()].Count; got != 1 {
-		t.Fatalf("group 1 end_to_end samples = %d, want 1", got)
-	}
-	if len(s0.Phases) != 0 {
-		t.Fatalf("group 0 has phase samples: %+v", s0.Phases)
-	}
-	// The aggregate snapshot is the cross-group sum, so existing callers
-	// (the bench's per-experiment delta) see the whole deployment.
-	agg := m.Snapshot()
-	if agg.Commits != 3 || agg.Batches != 2 || agg.Requests != 5 {
-		t.Fatalf("aggregate snapshot = %+v, want commits=3 batches=2 requests=5", agg)
-	}
-	if got := agg.Phases[pbft.PhaseEndToEnd.String()].Count; got != 1 {
-		t.Fatalf("aggregate end_to_end samples = %d, want 1", got)
-	}
-	if m.GroupSnapshot(7).Commits != 0 {
-		t.Fatal("unregistered group snapshot not zero")
-	}
-}
-
-func TestGroupLabeledExposition(t *testing.T) {
-	m := New()
-	m.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1}) // registry itself = group 0
-	g1 := m.Group(1)
-	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 0, Seq: 1})
-	g1.OnEvent(pbft.Event{Kind: pbft.EvCommit, Replica: 1, Seq: 1})
-	g1.OnEvent(pbft.Event{Kind: pbft.EvBatch, Replica: 0, Seq: 1, Count: 4})
-	g1.ObservePhase(2, pbft.PhaseCommitQuorum, time.Millisecond)
-	m.AddReplica(0, func() pbft.ReplicaInfo { return pbft.ReplicaInfo{LastExec: 9} })
-	g1.AddReplica(0, func() pbft.ReplicaInfo { return pbft.ReplicaInfo{LastExec: 4} })
-
-	var sb strings.Builder
-	m.WritePrometheus(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"pbft_commits_total{group=\"0\"} 1\n",
-		"pbft_commits_total{group=\"1\"} 2\n",
-		"pbft_batches_total{group=\"0\"} 0\n",
-		"pbft_batches_total{group=\"1\"} 1\n",
-		"pbft_batch_size_bucket{group=\"1\",le=\"4\"} 1\n",
-		"pbft_batch_size_sum{group=\"0\"} 0\n",
-		"pbft_phase_seconds_count{group=\"1\",phase=\"commit_quorum\",replica=\"2\"} 1\n",
-		"pbft_last_exec{group=\"0\",replica=\"0\"} 9\n",
-		"pbft_last_exec{group=\"1\",replica=\"0\"} 4\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("multi-group exposition missing %q:\n%s", want, out)
-		}
-	}
-	// No unlabeled counter lines survive in multi-group mode: the same
-	// family must not mix bare and group-labeled series.
-	if strings.Contains(out, "\npbft_commits_total ") {
-		t.Fatalf("multi-group exposition still has unlabeled pbft_commits_total:\n%s", out)
-	}
-}

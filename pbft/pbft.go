@@ -216,6 +216,10 @@ type (
 // BatchStats occupancy buckets (the fifth is unbounded).
 var BatchOccupancyBounds = transport.BatchOccupancyBounds
 
+// MaxDatagram is the largest datagram the UDP transport sends: a request
+// or message whose encoding exceeds it is refused with a size error.
+const MaxDatagram = transport.MaxDatagram
+
 // Event kinds a Tracer receives, re-exported for switch statements.
 const (
 	EvViewChangeStart     = trace.EvViewChangeStart

@@ -168,6 +168,15 @@ func TestSpanFlushDiskErrorDoesNotForkState(t *testing.T) {
 	defer cl.Close()
 	for i := 0; i < 20; i++ {
 		if i == 5 {
+			// Image flushes run off the protocol loop: wait for the sick
+			// replica's first one, or it could break before it flushes
+			// at all.
+			for deadline := time.Now().Add(10 * time.Second); c.Replicas[sick].Info().Stats.ImageFlushes < 1; {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica %d flushed no image before its disk broke", sick)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 			failing.Store(true)
 		}
 		reply, err := cl.Invoke(context.Background(), insertVote(fmt.Sprint("v", i)))
