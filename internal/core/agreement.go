@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -123,9 +121,7 @@ func (r *Replica) tryPropose() {
 				return
 			}
 			batch = len(r.pendingQueue)
-			// The batch-size bound: the adaptive controller's live
-			// window (Options.AdaptiveBatching), or the static MaxBatch.
-			if max := r.batchWindow(); max > 0 && batch > max {
+			if max := r.cfg.Opts.MaxBatch; max > 0 && batch > max {
 				batch = max
 			}
 			// Datagram bound: inline bodies count in full, digest
@@ -157,11 +153,6 @@ func (r *Replica) tryPropose() {
 // propose builds, logs and broadcasts one pre-prepare.
 func (r *Replica) propose(reqs []*wire.Request) {
 	r.seq++
-	if r.batchCtl != nil {
-		// Feed the controller its occupancy signal and stamp the entry
-		// so the commit certificate closes the latency sample.
-		r.batchCtl.observeBatch(len(reqs))
-	}
 	pp := &wire.PrePrepare{
 		View:   r.view,
 		Seq:    r.seq,
@@ -186,9 +177,6 @@ func (r *Replica) propose(reqs []*wire.Request) {
 	e.ppRaw = env.Raw()
 	e.digest = pp.BatchDigest()
 	e.ppAt = r.tickAt
-	if r.batchCtl != nil {
-		e.proposedAt = r.now()
-	}
 	r.broadcast(env)
 	r.stampEntries(e, trace.PrePrepareSent)
 	r.tryPrepared(e)
@@ -358,12 +346,6 @@ func (r *Replica) tryCommitted(e *entry) {
 	}
 	e.committed = true
 	r.stampEntries(e, trace.CommitQuorum)
-	if r.batchCtl != nil && !e.proposedAt.IsZero() {
-		// Close the controller's commit-latency sample for a batch this
-		// replica proposed.
-		r.batchCtl.observeCommit(r.now().Sub(e.proposedAt))
-		e.proposedAt = time.Time{}
-	}
 	r.emit(trace.Event{Kind: trace.EvCommit, View: e.view, Seq: e.seq})
 	// A commit upgrades tentatively executed replies to stable.
 	if e.executed {

@@ -56,9 +56,8 @@ type Sharder interface {
 }
 
 // ShardObserver is implemented by applications that adapt their
-// execution strategy to the engine's shard count (e.g. sqlstate routes
-// shardable queries over private pagers only when queries can actually
-// run concurrently). The replica calls it once, before Start.
+// execution strategy to the engine's shard count. The replica calls it
+// once, before Start.
 type ShardObserver interface {
 	// ObserveExecShards reports the engine's effective shard count.
 	ObserveExecShards(shards int)

@@ -41,21 +41,11 @@ type Options struct {
 	// (only meaningful with Batching).
 	CongestionWindow int
 
-	// MaxBatch bounds how many requests one pre-prepare carries. With
-	// AdaptiveBatching it is the controller's ceiling.
+	// MaxBatch bounds how many requests one pre-prepare carries (only
+	// meaningful with Batching; zero or less means unbounded). It is
+	// reported as ReplicaInfo.BatchWindow and the pbft_batch_window
+	// gauge.
 	MaxBatch int
-
-	// AdaptiveBatching replaces the static MaxBatch bound with a
-	// self-tuning congestion window: the primary sizes the next
-	// pre-prepare from the observed batch occupancy and commit latency
-	// (AIMD — grow additively while batches run full and commit latency
-	// stays flat, halve on latency inflation). The static knobs stay as
-	// hard bounds: MaxBatch is the ceiling, 1 the floor, and
-	// MaxBatchBytes still caps the datagram. Only meaningful with
-	// Batching; purely primary-local (never part of the replicated
-	// contract). The live window is observable as ReplicaInfo.BatchWindow
-	// and the pbft_batch_window gauge.
-	AdaptiveBatching bool
 
 	// MaxBatchBytes bounds a pre-prepare's payload size so it fits in
 	// one datagram. Inline (non-big) request bodies count in full;
@@ -227,7 +217,6 @@ func DefaultOptions() Options {
 		UseMACs:            true,
 		AllBig:             true,
 		Batching:           true,
-		AdaptiveBatching:   true,
 		CongestionWindow:   1,
 		MaxBatch:           64,
 		MaxBatchBytes:      8000,

@@ -34,10 +34,6 @@ type entry struct {
 	// missingBody marks a big-request wedge (§2.4): the entry is agreed
 	// but a request body never arrived, so execution cannot proceed.
 	missingBody bool
-	// proposedAt stamps when this replica (as primary, with the adaptive
-	// batching controller running) proposed the batch; the commit
-	// certificate closes the controller's latency sample. Zero otherwise.
-	proposedAt time.Time
 	// replies are the replies produced at execution; shared with the
 	// reply cache so a later commit can clear their tentative flag.
 	replies []*wire.Reply

@@ -71,10 +71,6 @@ type Replica struct {
 	imageFlushPages atomic.Uint64
 	imageFlushNanos atomic.Uint64
 
-	// batchCtl is the adaptive batch-sizing controller (nil with
-	// Options.AdaptiveBatching off).
-	batchCtl *batchController
-
 	// Protocol state owned by the run goroutine.
 	view            uint64
 	seq             uint64 // last assigned sequence number (as primary)
@@ -348,9 +344,6 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 	}
 	r.ndProvider = r.defaultNonDetProvider
 	r.ndValidator = r.defaultNonDetValidator
-	if cfg.Opts.AdaptiveBatching && cfg.Opts.Batching {
-		r.batchCtl = newBatchController(cfg.Opts.MaxBatch)
-	}
 	if cfg.Opts.AsyncReap {
 		r.reaper = newReaper(r)
 	}
@@ -547,8 +540,7 @@ type Info struct {
 	// protocol loop — the backlog in front of it.
 	IngressBacklog int
 	// BatchWindow is the batch-size bound in force for the next
-	// pre-prepare: the adaptive controller's live window with
-	// Options.AdaptiveBatching, the static MaxBatch otherwise.
+	// pre-prepare: the static Options.MaxBatch.
 	BatchWindow int
 	// ClientSessions is the number of clients currently holding live MAC
 	// session keys, bounded by Options.MaxClientSessions.
@@ -612,7 +604,7 @@ func (r *Replica) info() Info {
 		InViewChange:   r.inViewChange,
 		ExecQueueDepth: r.exec.QueueDepth(),
 		IngressBacklog: r.ingress.backlog(),
-		BatchWindow:    r.batchWindow(),
+		BatchWindow:    r.cfg.Opts.MaxBatch,
 		ClientSessions: r.nodes.sessionCount(),
 		Stats:          st,
 	}

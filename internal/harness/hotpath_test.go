@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -61,8 +64,13 @@ func TestBatchBoundarySingleOversizedRequest(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	// Every batch carried exactly one (oversized) request.
+	// Every batch carried exactly one (oversized) request. A call returns
+	// on a reply quorum that replica 0 need not be part of, so wait for it
+	// to execute the last request before reading its counters.
 	info := c.Replicas[0].Info()
+	for deadline := time.Now().Add(5 * time.Second); info.Stats.Executed < ops && time.Now().Before(deadline); info = c.Replicas[0].Info() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if info.Stats.Executed != ops {
 		t.Fatalf("executed = %d, want %d", info.Stats.Executed, ops)
 	}
@@ -71,65 +79,101 @@ func TestBatchBoundarySingleOversizedRequest(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchingWindowBounds: under a bursty pipelined workload the
-// adaptive window stays inside [1, MaxBatch] on every replica, and the
-// cluster keeps committing. The controller's own dynamics are unit-tested
-// in internal/core; this is the end-to-end guard rail.
-func TestAdaptiveBatchingWindowBounds(t *testing.T) {
+// batchSizeTracer records the Count of every EvBatch the replicas emit.
+type batchSizeTracer struct {
+	mu     sync.Mutex
+	counts []uint64
+}
+
+func (b *batchSizeTracer) OnEvent(ev trace.Event) {
+	if ev.Kind != trace.EvBatch {
+		return
+	}
+	b.mu.Lock()
+	b.counts = append(b.counts, ev.Count)
+	b.mu.Unlock()
+}
+
+// TestBatchBoundaryStaticUnderBursts: under a bursty pipelined workload
+// that queues far more requests than MaxBatch, no batch on any replica
+// carries more than MaxBatch requests, every replica reports MaxBatch as
+// its batch window, and every call completes.
+func TestBatchBoundaryStaticUnderBursts(t *testing.T) {
 	o := fastOpts()
-	o.AdaptiveBatching = true
 	o.MaxBatch = 8
+	batches := &batchSizeTracer{}
 	c, err := NewCluster(ClusterOptions{
 		Opts:       o,
 		NumClients: 2,
 		Seed:       29,
 		App:        NewEchoFactory(64),
+		Tracer:     func(uint32) core.Tracer { return batches },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
 
-	checkWindows := func() {
-		for i, r := range c.Replicas {
-			if w := r.Info().BatchWindow; w < 1 || w > o.MaxBatch {
-				t.Fatalf("replica %d: batch window %d escaped [1,%d]", i, w, o.MaxBatch)
-			}
-		}
-	}
+	// depth workers per client keep its whole pipeline full.
+	const bursts, depth, perWorker = 3, 16, 5
 	payload := bytes.Repeat([]byte{1}, 64)
 	clients := make([]*client.Client, 2)
 	for i := range clients {
-		cl, err := c.Client(i, client.WithPipelineDepth(16))
+		cl, err := c.Client(i, client.WithPipelineDepth(depth))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
 		clients[i] = cl
 	}
-	for burst := 0; burst < 3; burst++ {
+	var done atomic.Int64
+	for burst := 0; burst < bursts; burst++ {
 		var wg sync.WaitGroup
 		for _, cl := range clients {
-			cl := cl
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for n := 0; n < 40; n++ {
-					if _, err := cl.Invoke(context.Background(), payload); err != nil {
-						t.Errorf("invoke: %v", err)
-						return
+			for w := 0; w < depth; w++ {
+				cl := cl
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; n < perWorker; n++ {
+						if _, err := cl.Invoke(context.Background(), payload); err != nil {
+							t.Errorf("invoke: %v", err)
+							return
+						}
+						done.Add(1)
 					}
-				}
-			}()
+				}()
+			}
 		}
 		wg.Wait()
 		if t.Failed() {
 			t.FailNow()
 		}
-		checkWindows()
 		time.Sleep(50 * time.Millisecond) // idle gap between bursts
 	}
-	checkWindows()
+	if got, want := done.Load(), int64(bursts*depth*perWorker*len(clients)); got != want {
+		t.Fatalf("completed %d calls, want %d", got, want)
+	}
+	for i, r := range c.Replicas {
+		if w := r.Info().BatchWindow; w != o.MaxBatch {
+			t.Fatalf("replica %d: batch window %d, want MaxBatch %d", i, w, o.MaxBatch)
+		}
+	}
+	batches.mu.Lock()
+	defer batches.mu.Unlock()
+	full := 0
+	for _, n := range batches.counts {
+		if n > uint64(o.MaxBatch) {
+			t.Fatalf("a batch carried %d requests, over MaxBatch %d", n, o.MaxBatch)
+		}
+		if n == uint64(o.MaxBatch) {
+			full++
+		}
+	}
+	// The load must press on the bound, or the check above shows nothing.
+	if full == 0 {
+		t.Fatal("no batch reached MaxBatch")
+	}
 }
 
 // TestPoolScribbleOwnership: with debug scribbling on, every buffer

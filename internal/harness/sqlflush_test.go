@@ -219,11 +219,10 @@ func TestSQLImageFollowsStateTransfer(t *testing.T) {
 	}
 }
 
-// TestSpanFlushCadenceIsLocal: when and where a replica flushes — reaper
-// goroutine or protocol loop, one shard or four — is local tuning and
-// must never reach replicated bytes. A durable SQL cluster mixing all
-// four combinations agrees on every stable digest, and its clients see
-// the reply streams a uniform cluster produces.
+// TestSpanFlushCadenceIsLocal: where a replica flushes — reaper goroutine
+// or protocol loop — is local tuning and must never reach replicated
+// bytes. A durable SQL cluster mixing both agrees on every stable digest,
+// and its clients see the reply streams a uniform cluster produces.
 func TestSpanFlushCadenceIsLocal(t *testing.T) {
 	const numClients, perClient = 4, 24
 	var initSQL []string
@@ -245,10 +244,6 @@ func TestSpanFlushCadenceIsLocal(t *testing.T) {
 		if mixed {
 			co.LocalOpts = func(id uint32, o *core.Options) {
 				o.AsyncReap = id&1 == 0
-				o.ExecShards = 1
-				if id >= 2 {
-					o.ExecShards = 4
-				}
 			}
 		}
 		c, err := NewCluster(co)

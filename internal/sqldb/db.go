@@ -26,17 +26,6 @@ func Open(vfs VFS, name string, durable bool) (*DB, error) {
 	return &DB{vfs: vfs, pager: pager}, nil
 }
 
-// OpenReadOnly opens an existing database for queries only: no journal
-// recovery, no durability — the file is never written through this
-// handle. Used by concurrent readers over a file another pager owns.
-func OpenReadOnly(vfs VFS, name string) (*DB, error) {
-	pager, err := OpenPagerReadOnly(vfs, name)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{vfs: vfs, pager: pager}, nil
-}
-
 // Close releases the database (rolling back any open transaction).
 func (d *DB) Close() error { return d.pager.Close() }
 

@@ -65,21 +65,6 @@ type Pager struct {
 
 // OpenPager opens (creating or recovering as needed) the named database.
 func OpenPager(vfs VFS, name string, durable bool) (*Pager, error) {
-	return openPager(vfs, name, durable, false)
-}
-
-// OpenPagerReadOnly opens an existing database for reading: no
-// hot-journal recovery, no initialization of an empty file — the pager
-// never writes through the VFS. Concurrent readers (the replicated SQL
-// layer's sharded SELECT path) must never touch the shared file: a
-// leftover journal is the owning writer's to resolve, and replaying or
-// initializing from a reader would mutate the replicated state outside
-// commit order.
-func OpenPagerReadOnly(vfs VFS, name string) (*Pager, error) {
-	return openPager(vfs, name, false, true)
-}
-
-func openPager(vfs VFS, name string, durable, readOnly bool) (*Pager, error) {
 	db, err := vfs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("open database: %w", err)
@@ -93,11 +78,9 @@ func openPager(vfs VFS, name string, durable, readOnly bool) (*Pager, error) {
 		dirty:   make(map[uint32]bool),
 		before:  make(map[uint32][]byte),
 	}
-	if !readOnly {
-		if err := p.recover(); err != nil {
-			_ = db.Close()
-			return nil, err
-		}
+	if err := p.recover(); err != nil {
+		_ = db.Close()
+		return nil, err
 	}
 	size, err := db.Size()
 	if err != nil {
@@ -105,10 +88,6 @@ func openPager(vfs VFS, name string, durable, readOnly bool) (*Pager, error) {
 		return nil, err
 	}
 	if size == 0 {
-		if readOnly {
-			_ = db.Close()
-			return nil, fmt.Errorf("sqldb: %q is empty (read-only open cannot initialize)", name)
-		}
 		if err := p.initialize(); err != nil {
 			_ = db.Close()
 			return nil, err

@@ -626,7 +626,7 @@ var replicaSeries = []series[pbft.ReplicaInfo]{
 		value: func(i pbft.ReplicaInfo) any { return i.ExecQueueDepth }},
 	{name: "pbft_ingress_backlog", typ: "gauge", help: "Packets verified (or being verified) and not yet consumed by the protocol loop.",
 		value: func(i pbft.ReplicaInfo) any { return i.IngressBacklog }},
-	{name: "pbft_batch_window", typ: "gauge", help: "Batch-size bound for the next pre-prepare (adaptive controller's live window, or the static MaxBatch).",
+	{name: "pbft_batch_window", typ: "gauge", help: "Batch-size bound for the next pre-prepare (the static MaxBatch).",
 		value: func(i pbft.ReplicaInfo) any { return i.BatchWindow }},
 	{name: "pbft_last_exec", typ: "gauge", help: "Last executed sequence number.",
 		value: func(i pbft.ReplicaInfo) any { return i.LastExec }},

@@ -78,21 +78,23 @@
 // operations are dispatched through the same engine, so slow reads never
 // run on the replica's protocol loop. The shard count is a local tuning
 // knob, not part of the replicated contract — replicas may differ. See
-// ARCHITECTURE.md for the determinism rules a Sharder must obey.
+// ARCHITECTURE.md for the determinism rules a Sharder must obey. The SQL
+// application (package sqlstate) is not a Sharder: it runs serially at
+// any shard count.
 //
 // # Hot-path performance
 //
-// DefaultOptions enables two self-tuning hot-path mechanisms, both local
-// knobs outside the replicated contract. Options.AdaptiveBatching sizes
-// the primary's next pre-prepare with an AIMD controller driven by
-// observed batch occupancy and commit latency (the static MaxBatch is
-// the ceiling, MaxBatchBytes still caps the datagram; the live window is
-// ReplicaInfo.BatchWindow and the pbft_batch_window gauge).
-// Options.AsyncReap overlaps agreement with application execution:
-// completed applies are reaped — and replies sent, still strictly in
-// sequence order — off the protocol loop, with checkpoints, membership
-// operations and view changes draining everything exactly as before, so
-// checkpoint digests stay byte-identical to synchronous reaping.
+// Batches are bounded as in §2.1: the primary holds new pre-prepares
+// while CongestionWindow sequence numbers await execution, and a batch
+// carries at most MaxBatch requests and MaxBatchBytes of payload (the
+// bound in force is ReplicaInfo.BatchWindow and the pbft_batch_window
+// gauge). DefaultOptions also enables Options.AsyncReap, a local knob
+// outside the replicated contract, which overlaps agreement with
+// application execution: completed applies are reaped — and replies
+// sent, still strictly in sequence order — off the protocol loop, with
+// checkpoints, membership operations and view changes draining
+// everything exactly as before, so checkpoint digests stay
+// byte-identical to synchronous reaping.
 // Message memory (sealed envelopes, seal/verify scratch, MAC states, UDP
 // receive buffers) is pooled; see ARCHITECTURE.md, "Hot path & memory
 // discipline", for the ownership rules and the allocation budget CI

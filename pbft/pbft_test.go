@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -151,19 +152,37 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	if err := dep.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDeployment(path)
+	// Files written before the adaptive batch controller was removed
+	// carry its option; they must still load and validate.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := loaded.Config()
-	if err != nil {
+	const maxBatch = `"MaxBatch": 64,`
+	if !bytes.Contains(raw, []byte(maxBatch)) {
+		t.Fatalf("saved deployment lacks %s:\n%s", maxBatch, raw)
+	}
+	oldPath := filepath.Join(dir, "config-adaptive.json")
+	oldRaw := bytes.Replace(raw, []byte(maxBatch), []byte(maxBatch+`
+    "AdaptiveBatching": true,`), 1)
+	if err := os.WriteFile(oldPath, oldRaw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.N() != 4 || !cfg.Opts.DynamicClients {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg.Replicas[2].Addr != "127.0.0.1:9002" {
-		t.Fatalf("addr = %s", cfg.Replicas[2].Addr)
+	for _, p := range []string{path, oldPath} {
+		loaded, err := LoadDeployment(p)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(p), err)
+		}
+		cfg, err := loaded.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(p), err)
+		}
+		if cfg.N() != 4 || !cfg.Opts.DynamicClients || cfg.Opts.MaxBatch != 64 {
+			t.Fatalf("%s: cfg = %+v", filepath.Base(p), cfg)
+		}
+		if cfg.Replicas[2].Addr != "127.0.0.1:9002" {
+			t.Fatalf("%s: addr = %s", filepath.Base(p), cfg.Replicas[2].Addr)
+		}
 	}
 	// Key files round-trip and reproduce the same public identity.
 	kpath := filepath.Join(dir, "r0.key")

@@ -3,8 +3,6 @@ package sqlstate
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sqldb"
@@ -51,22 +49,11 @@ type App struct {
 	// drives the region's flush points: Execute then flushes after
 	// every mutating statement.
 	selfFlush bool
-
-	// Sharding classification cache (see sharder.go), shared between
-	// the protocol loop (Keys) and the shard workers (Execute).
-	planMu sync.Mutex
-	plans  map[string]shardPlan
-	// sharded is set by ObserveExecShards (core.ShardObserver) when the
-	// replica's engine actually shards; serial deployments never pay
-	// the concurrent read path's per-query pager setup.
-	sharded atomic.Bool
 }
 
 var (
-	_ core.Application   = (*App)(nil)
-	_ core.StateUser     = (*App)(nil)
-	_ core.Sharder       = (*App)(nil)
-	_ core.ShardObserver = (*App)(nil)
+	_ core.Application = (*App)(nil)
+	_ core.StateUser   = (*App)(nil)
 )
 
 // NewApp builds the application; the replica attaches the state region.
@@ -148,17 +135,14 @@ func (a *App) Authorize(appAuth []byte) (string, bool) {
 // Execute implements core.Application: run one encoded SQL operation with
 // the agreed non-determinism.
 //
-// Shardable SELECTs (see Keys) take a concurrency-safe path: a private
-// pager over the same region file, touching no shared state, so the
-// execution engine may run them in parallel with each other. Every other
-// operation — all mutations included — reaches this method exclusively
-// (its keyset is nil, an engine barrier) and uses the long-lived database
-// handle with the per-operation nondeterminism installed. That handle's
-// page cache lives across operations: every write the pager makes reaches
-// the region by the end of its statement, so the cache only goes stale
-// when the replica rewrites pages underneath it (state transfer,
-// tentative rollback), which moves the region's Rewrites count; Execute
-// reloads the pager then, and only then.
+// App is not a core.Sharder, so the replica runs every operation
+// serially, at any Options.ExecShards, on the long-lived database handle
+// with the per-operation nondeterminism installed. That handle's page
+// cache lives across operations: every write the pager makes reaches the
+// region by the end of its statement, so the cache only goes stale when
+// the replica rewrites pages underneath it (state transfer, tentative
+// rollback), which moves the region's Rewrites count; Execute reloads the
+// pager then, and only then.
 func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if a.err != nil {
 		return encodeError(a.err)
@@ -167,28 +151,20 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if err != nil {
 		return encodeError(err)
 	}
-	// One parse serves the plan and the execution. A statement that
-	// does not parse gets the empty plan, and its parse error is
-	// reported where the statement would run.
+	// A statement that does not parse has its parse error reported
+	// where the statement would run.
 	st, nparams, parseErr := sqldb.Parse(sql)
-	plan := statementPlan(st)
-	// The concurrent read path only pays off when the engine may
-	// actually run queries in parallel (see the sharded flag); the
-	// serial configuration keeps the long-lived cached handle.
-	if kind == opQuery && plan.shardable && a.sharded.Load() {
-		return a.queryConcurrent(st, nparams, args)
-	}
-	if kind == opExec && plan.txnControl {
-		// Explicit transactions cannot span ordered operations: a
-		// client BEGIN would hold the shared handle's transaction open
-		// across requests, wedging every later operation (syncPager
-		// refuses inside a transaction), and its uncommitted view
-		// could never be served consistently by replicas executing
-		// reads elsewhere.
-		// Each mutating operation already commits atomically; reject
-		// transaction control deterministically, identically at every
-		// replica and shard count.
-		return encodeError(errTxnControl)
+	if kind == opExec {
+		switch st.(type) {
+		case *sqldb.BeginStmt, *sqldb.CommitStmt, *sqldb.RollbackStmt:
+			// Explicit transactions cannot span ordered operations: a
+			// client BEGIN would hold the shared handle's transaction
+			// open across requests, wedging every later operation
+			// (syncPager refuses inside a transaction). Each mutating
+			// operation already commits atomically; reject transaction
+			// control deterministically, identically at every replica.
+			return encodeError(errTxnControl)
+		}
 	}
 	a.vfs.SetNonDet(nd)
 	if err := a.syncPager(); err != nil {
@@ -250,36 +226,6 @@ func (a *App) syncPager() error {
 // errTxnControl rejects BEGIN/COMMIT/ROLLBACK on the replicated path.
 var errTxnControl = errors.New("sqlstate: explicit transactions are not supported through the replicated service; every operation commits atomically")
 
-// queryConcurrent runs a shardable SELECT over a private read-only pager
-// (no journal recovery, no writes ever). The only shared structure it
-// touches is the region itself (internally locked; reads allocate
-// nothing), so any number of these may run concurrently on the engine's
-// shards. The result is byte-identical to the serial path: same region
-// bytes, same rows, the same ErrInTransaction refusal while a client
-// holds the shared handle's explicit transaction open, and — by the
-// shardable exclusion of now()/random() — no dependence on the
-// nondeterminism values the serial path would have installed.
-func (a *App) queryConcurrent(st sqldb.Stmt, nparams int, args []sqldb.Value) []byte {
-	// Transaction state only changes inside barrier operations, which
-	// the engine never runs concurrently with keyed reads, so this read
-	// is race-free — and required: the serial path answers every
-	// operation with ErrInTransaction (via syncPager) while a transaction
-	// is open, and replicas at other shard counts must answer the same.
-	if a.db.Pager().InTransaction() {
-		return encodeError(sqldb.ErrInTransaction)
-	}
-	db, err := sqldb.OpenReadOnly(a.vfs, a.opts.DBName)
-	if err != nil {
-		return encodeError(err)
-	}
-	defer db.Close()
-	rows, err := db.QueryStmt(st, nparams, args...)
-	if err != nil {
-		return encodeError(err)
-	}
-	return encodeRows(rows)
-}
-
 // OpenDiskImage opens a replica's on-disk database image as an ordinary
 // standalone database — the §3.2 by-product: "even if the node is to be
 // removed from the replicated service, its data will be usable on its
@@ -339,20 +285,6 @@ func decodeOp(b []byte) (kind uint8, sql string, args []sqldb.Value, err error) 
 		}
 	}
 	return kind, sql, args, nil
-}
-
-// decodeOpHeader reads kind and sql without materializing the argument
-// values — Keys runs per committed operation on the protocol loop and
-// never needs them.
-func decodeOpHeader(b []byte) (kind uint8, sql string, err error) {
-	r := wire.NewReader(b)
-	kind = r.U8()
-	sql = r.String32()
-	r.Bytes32()
-	if err := r.Done(); err != nil {
-		return 0, "", err
-	}
-	return kind, sql, nil
 }
 
 func encodeError(err error) []byte {

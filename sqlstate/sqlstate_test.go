@@ -417,3 +417,50 @@ func TestDurableRequiresDiskDir(t *testing.T) {
 		t.Fatal("durable mode without a disk directory must fail loudly")
 	}
 }
+
+// TestTxnControlRejectedIdentically: explicit transaction control is
+// rejected deterministically — a BEGIN that slipped through would hold
+// the shared handle's transaction open across ordered operations,
+// wedging every later Reload — and the service answers normally
+// afterwards.
+func TestTxnControlRejectedIdentically(t *testing.T) {
+	region, err := state.NewRegion(1<<20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := NewApp(Options{InitSQL: []string{"CREATE TABLE t (a INTEGER)"}})
+	app.AttachState(region)
+	if app.err != nil {
+		t.Fatal(app.err)
+	}
+	nd := core.NonDetValues{}
+
+	for _, sql := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
+		reply := app.Execute(EncodeExec(sql), nd, false)
+		_, err := DecodeResponse(reply)
+		if err == nil {
+			t.Fatalf("%s: transaction control must be rejected", sql)
+		}
+		if err.Error() != errTxnControl.Error() {
+			t.Fatalf("%s: rejected with %q, want %q", sql, err, errTxnControl)
+		}
+		if again := app.Execute(EncodeExec(sql), nd, false); !bytes.Equal(reply, again) {
+			t.Fatalf("%s: rejection not deterministic: %q vs %q", sql, reply, again)
+		}
+		if app.DB().Pager().InTransaction() {
+			t.Fatalf("%s: left a transaction open", sql)
+		}
+	}
+
+	// The service keeps working afterwards.
+	if _, err := DecodeResponse(app.Execute(EncodeExec("INSERT INTO t (a) VALUES (7)"), nd, false)); err != nil {
+		t.Fatalf("insert after rejected txn control: %v", err)
+	}
+	res, err := DecodeResponse(app.Execute(EncodeQuery("SELECT a FROM t"), nd, false))
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if len(res.Rows.Data) != 1 || res.Rows.Data[0][0].I != 7 {
+		t.Fatalf("rows = %+v, want [[7]]", res.Rows.Data)
+	}
+}
