@@ -13,7 +13,6 @@
 package adversary
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/transport"
@@ -44,12 +43,10 @@ var Passthrough Behavior = BehaviorFunc(func(_ string, data []byte) [][]byte {
 })
 
 // Conn wraps a transport.Conn and filters outgoing traffic through a
-// swappable Behavior. Inbound traffic is untouched: a Byzantine node
+// Behavior. Inbound traffic is untouched: a Byzantine node
 // still reads the world honestly, it only lies on the way out.
 type Conn struct {
-	inner transport.Conn
-
-	mu       sync.Mutex
+	inner    transport.Conn
 	behavior Behavior
 }
 
@@ -61,18 +58,6 @@ func Wrap(conn transport.Conn, behavior Behavior) *Conn {
 	return &Conn{inner: conn, behavior: behavior}
 }
 
-// SetBehavior swaps the active behavior at runtime (chaos phases flip a
-// node between honest and adversarial without restarting it). A nil
-// behavior restores Passthrough.
-func (c *Conn) SetBehavior(b Behavior) {
-	if b == nil {
-		b = Passthrough
-	}
-	c.mu.Lock()
-	c.behavior = b
-	c.mu.Unlock()
-}
-
 // Addr returns the wrapped endpoint's address.
 func (c *Conn) Addr() string { return c.inner.Addr() }
 
@@ -80,11 +65,8 @@ func (c *Conn) Addr() string { return c.inner.Addr() }
 // survives. Errors from suppressed sends cannot exist; for multiplied
 // sends the first transport error wins.
 func (c *Conn) Send(to string, data []byte) error {
-	c.mu.Lock()
-	b := c.behavior
-	c.mu.Unlock()
 	var first error
-	for _, out := range b.Outgoing(to, data) {
+	for _, out := range c.behavior.Outgoing(to, data) {
 		if err := c.inner.Send(to, out); err != nil && first == nil {
 			first = err
 		}

@@ -35,15 +35,11 @@ func (r *Replica) sealSigned(t wire.MsgType, payload []byte) *wire.Envelope {
 	return env
 }
 
-// sealToClient authenticates a reply to one client: a single-tag
-// authenticator under the client's session key, or a signature.
-func (r *Replica) sealToClient(t wire.MsgType, payload []byte, client *nodeEntry) *wire.Envelope {
-	return r.sealWithSession(t, payload, client.Session, r.cfg.Opts.UseMACs && client.HasSession)
-}
-
-// sealWithSession is sealToClient over snapshotted session material: safe
-// off the protocol loop (the read-only path seals on a shard worker from
-// values captured at submission time).
+// sealWithSession authenticates a reply to one client from snapshotted
+// session material: a single-tag authenticator under the client's session
+// key, or a signature when useMAC is false. Safe off the protocol loop
+// (replies are sealed on the reaper goroutine and the read-only path
+// seals on a shard worker, from values captured at submission time).
 func (r *Replica) sealWithSession(t wire.MsgType, payload []byte, session crypto.SessionKey, useMAC bool) *wire.Envelope {
 	env := &wire.Envelope{Type: t, Sender: r.id, Payload: payload}
 	if useMAC {

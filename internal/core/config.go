@@ -122,18 +122,6 @@ type Options struct {
 	// they reach the protocol loop. 0 means GOMAXPROCS.
 	VerifyWorkers int
 
-	// AsyncReap overlaps agreement with application execution: instead of
-	// draining the execution engine before returning to the protocol
-	// loop, completed applies are reaped — and their replies sealed and
-	// sent, still strictly in sequence order — by a dedicated reaper
-	// goroutine, so agreement on sequence n+1 runs while the application
-	// is still working on n. Barrier points (checkpoints, membership
-	// operations, view-change rollback, state transfer, shutdown) force a
-	// full drain exactly as before, which is what keeps checkpoint
-	// digests byte-identical to synchronous reaping at any shard count.
-	// Purely local (never part of the replicated contract).
-	AsyncReap bool
-
 	// ExecShards sizes the sharded execution engine: the workers that
 	// apply committed operations behind the ordered commit stream. An
 	// application implementing Sharder gets non-conflicting operations
@@ -233,7 +221,6 @@ func DefaultOptions() Options {
 		MaxTimeDrift:       time.Minute,
 		ValidateNonDet:     true,
 		ExecShards:         1,
-		AsyncReap:          true,
 		ClientWindow:       DefaultClientWindow,
 	}
 }

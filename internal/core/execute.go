@@ -106,13 +106,13 @@ func (r *Replica) sendReply(rep *wire.Reply, client *nodeEntry) {
 //
 // All executable entries are submitted before anything blocks on them, so
 // non-conflicting operations across consecutive batches churn on every
-// shard at once. With Options.AsyncReap the pass ends by handing the
-// span to the reaper goroutine and returning to the protocol loop —
-// agreement on the next sequence numbers overlaps the application work —
-// while checkpoint boundaries (and the other barriers) still drain
-// everything first, so the snapshot observes exactly the operations up to
-// the boundary: the property that keeps checkpoint digests identical
-// across replicas, shard counts and reap modes.
+// shard at once. The pass ends by reaping the span in place when it is
+// already done, or by handing it to the reaper goroutine and returning to
+// the protocol loop — agreement on the next sequence numbers overlaps the
+// application work — while checkpoint boundaries (and the other barriers)
+// still drain everything first, so the snapshot observes exactly the
+// operations up to the boundary: the property that keeps checkpoint
+// digests identical across replicas, shard counts and reap paths.
 func (r *Replica) tryExecute() {
 	if r.sync != nil || r.executing {
 		return
@@ -454,18 +454,15 @@ func (r *Replica) integrateSpan(sp span) {
 	}
 }
 
-// finishSpan closes one tryExecute pass over the current applyQueue.
-// Synchronous mode reaps it in place. Async mode prefers the inline fast
-// path — when nothing is queued behind the reaper and every task already
-// finished (the serial engine's inline execution), reaping here costs no
-// handoff and keeps the seed schedule — and otherwise hands the span to
-// the reaper goroutine so agreement overlaps the remaining execution. A
-// span with a flush point always goes to the reaper when there is one:
-// its fsyncs are the remaining execution.
+// finishSpan closes one tryExecute pass over the current applyQueue. It
+// prefers the inline fast path — when nothing is queued behind the reaper
+// and every task already finished (the serial engine's inline
+// execution), reaping here costs no handoff and keeps the seed schedule —
+// and otherwise hands the span to the reaper goroutine so agreement
+// overlaps the remaining execution. A span with a flush point always goes
+// to the reaper: its fsyncs are the remaining execution.
 func (r *Replica) finishSpan() {
-	if r.reaper != nil {
-		r.collectReaped()
-	}
+	r.collectReaped()
 	if len(r.applyQueue) == 0 {
 		return
 	}
@@ -476,8 +473,8 @@ func (r *Replica) finishSpan() {
 	if r.flusher != nil {
 		fp = r.submitFlushPoint()
 	}
-	if r.reaper == nil || (fp == nil && r.reaper.idle() && r.spanDone()) {
-		r.reapSpanInPlace(fp)
+	if fp == nil && r.reaper.idle() && r.spanDone() {
+		r.reapSpanInPlace()
 		return
 	}
 	sp := span{applies: r.applyQueue, flush: fp}
@@ -498,17 +495,12 @@ func (r *Replica) spanDone() bool {
 	return true
 }
 
-// reapSpanInPlace is the synchronous reap: wait for the engine, then send
-// and integrate the span on the loop — the pre-async behaviour, still
-// used with AsyncReap off and by the inline fast path.
-func (r *Replica) reapSpanInPlace(fp *flushPoint) {
-	// Every task in applyQueue — and the capture behind them — was
-	// submitted before this point, so one WaitIdle covers them all:
-	// results are written and visible.
+// reapSpanInPlace is the inline fast path: wait for the engine (every
+// task already finished), then send and integrate the span on the loop.
+func (r *Replica) reapSpanInPlace() {
+	// Every task in applyQueue was submitted before this point, so one
+	// WaitIdle covers them all: results are written and visible.
 	r.exec.WaitIdle()
-	if fp != nil {
-		r.runPersist(fp)
-	}
 	r.sendSpanReplies(r.applyQueue)
 	r.integrateSpan(span{applies: r.applyQueue})
 	clear(r.applyQueue) // release the reaped span's requests and tasks
@@ -528,12 +520,10 @@ func (r *Replica) collectReaped() {
 // every flush point persisted, every reply sent, every span integrated.
 // Checkpoints, membership operations, view-change rollback, state
 // transfer and shutdown all pass through here — which is why a snapshot
-// can never observe a half-reaped span, in either reap mode.
+// can never observe a half-reaped span, on either reap path.
 func (r *Replica) reapApplies() {
 	r.finishSpan()
-	if r.reaper != nil {
-		r.reaper.drain(r.integrateSpan)
-	}
+	r.reaper.drain(r.integrateSpan)
 	r.exec.WaitIdle()
 	if n := r.flushesPending.Load(); n != 0 {
 		panic(fmt.Sprintf("core: %d flush points outstanding behind the reap barrier", n))

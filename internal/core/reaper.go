@@ -2,10 +2,9 @@ package core
 
 import "sync"
 
-// reaper overlaps agreement with application execution
-// (Options.AsyncReap): the protocol loop hands it spans of submitted-but-
-// unfinished applies (the applyQueue of one tryExecute pass) and returns
-// to agreement work immediately; the reaper goroutine waits for each
+// reaper overlaps agreement with application execution: the protocol
+// loop hands it spans of submitted-but-unfinished applies (the applyQueue
+// of one tryExecute pass) and returns to agreement work immediately; the reaper goroutine waits for each
 // span's engine tasks in submission order, makes the span's flush point
 // durable (see flushPoint), seals and sends the replies — still in
 // sequence order per client, from state snapshotted at submission (see
@@ -17,8 +16,8 @@ import "sync"
 // channel fires, and exhaustively at every barrier (checkpoint,
 // membership operation, view-change rollback, state transfer, shutdown)
 // via drain. The barrier discipline is what keeps checkpoint digests
-// byte-identical to synchronous reaping: a snapshot is never taken with a
-// span in flight.
+// byte-identical to reaping every span inline: a snapshot is never taken
+// with a span in flight.
 type reaper struct {
 	r *Replica
 

@@ -52,9 +52,9 @@ type Replica struct {
 
 	// Sharded execution engine (exec.Engine): applies committed
 	// operations behind the commit stream, concurrently when the
-	// application's Sharder declares them non-conflicting. reaper (nil
-	// with Options.AsyncReap off) overlaps agreement with execution by
-	// reaping completed applies off the loop.
+	// application's Sharder declares them non-conflicting. reaper
+	// overlaps agreement with execution by reaping completed applies off
+	// the loop.
 	exec    *exec.Engine
 	sharder Sharder
 	reaper  *reaper
@@ -344,9 +344,7 @@ func NewReplica(cfg *Config, id uint32, kp *crypto.KeyPair, conn transport.Conn,
 	}
 	r.ndProvider = r.defaultNonDetProvider
 	r.ndValidator = r.defaultNonDetValidator
-	if cfg.Opts.AsyncReap {
-		r.reaper = newReaper(r)
-	}
+	r.reaper = newReaper(r)
 
 	// Pairwise replica MAC keys are derived from the static identities.
 	r.replicaKeys = make([]crypto.SessionKey, r.n)
@@ -671,12 +669,8 @@ func (r *Replica) run() {
 	// The reaper stops first (LIFO): the engine keeps executing its
 	// queued tasks until exec.Stop, so every span the reaper still holds
 	// completes and is sent before the connection closes.
-	var reapNotify chan struct{}
-	if r.reaper != nil {
-		r.reaper.start()
-		defer r.reaper.stop()
-		reapNotify = r.reaper.notify
-	}
+	r.reaper.start()
+	defer r.reaper.stop()
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -692,7 +686,7 @@ func (r *Replica) run() {
 			}
 			r.handleVerified(m)
 			putInMsg(m)
-		case <-reapNotify:
+		case <-r.reaper.notify:
 			// Spans the reaper finished between protocol events:
 			// integrate them (reply cache, stats) on the loop.
 			r.collectReaped()

@@ -129,9 +129,6 @@ func New(shards int) *Engine {
 	return e
 }
 
-// Shards returns the worker count.
-func (e *Engine) Shards() int { return len(e.queues) }
-
 // Serial reports whether the engine runs a single shard (commit-order
 // execution, no concurrency).
 func (e *Engine) Serial() bool { return len(e.queues) == 1 }

@@ -49,10 +49,6 @@ type ClusterOptions struct {
 	// recovers from disk and fetches only the delta via state transfer.
 	// Empty keeps the cluster diskless.
 	DataDir string
-	// LocalOpts, when set, adjusts one replica's copy of Opts before it
-	// is built — for the purely local knobs (AsyncReap, ExecShards) the
-	// determinism suites mix within one cluster.
-	LocalOpts func(replica uint32, o *core.Options)
 }
 
 // LibConfig names one library configuration of the paper's Table 1.
@@ -94,7 +90,6 @@ type Cluster struct {
 	recorderFor func(replica uint32) *trace.Recorder
 	rng         *rand.Rand
 	dataDir     string // durable root; "" = diskless
-	localOpts   func(replica uint32, o *core.Options)
 }
 
 // ReplicaAddr returns the network address of replica id.
@@ -116,7 +111,6 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 		recorderFor: o.Recorder,
 		rng:         rand.New(rand.NewSource(o.Seed + 1)),
 		dataDir:     o.DataDir,
-		localOpts:   o.LocalOpts,
 	}
 	if o.Bandwidth > 0 {
 		c.Net.SetBandwidth(o.Bandwidth)
@@ -193,9 +187,8 @@ func (c *Cluster) startWrapped(id uint32, wrap func(transport.Conn) transport.Co
 	}
 	app := c.appFactory(id)
 	cfg := c.Cfg
-	if c.tracerFor != nil || c.recorderFor != nil || c.dataDir != "" || c.localOpts != nil {
-		// Per-replica tracer/recorder/data dir/local options:
-		// shallow-copy the shared config (the slices inside are
+	if c.tracerFor != nil || c.recorderFor != nil || c.dataDir != "" {
+		// Per-replica tracer/recorder/data dir: shallow-copy the shared config (the slices inside are
 		// read-only) and install this replica's instances.
 		clone := *c.Cfg
 		if c.tracerFor != nil {
@@ -206,9 +199,6 @@ func (c *Cluster) startWrapped(id uint32, wrap func(transport.Conn) transport.Co
 		}
 		if c.dataDir != "" {
 			clone.Opts.DataDir = c.ReplicaDataDir(id)
-		}
-		if c.localOpts != nil {
-			c.localOpts(id, &clone.Opts)
 		}
 		cfg = &clone
 	}
@@ -314,10 +304,6 @@ func (c *Cluster) DynamicClient(addr string, opts ...client.Option) (*client.Cli
 	}
 	return cl, nil
 }
-
-// ReplicaKey exposes a replica's key material (fault-injection tests
-// model Byzantine replicas that hold real keys).
-func (c *Cluster) ReplicaKey(id uint32) *crypto.KeyPair { return c.replicaKeys[id] }
 
 // ClientKey exposes pre-provisioned client i's key material (slowloris
 // attackers hold a real client identity).

@@ -9,55 +9,96 @@ import (
 	"testing"
 )
 
-// The pager's cache lives across statements (a caller reloads only when
-// someone else rewrote the file), so it must equal the file whenever no
-// transaction is open. These tests pin that, the in-place B-tree search
-// against the decode-based one, and cursor errors surfacing from scans.
+// The pager keeps no page past a transaction, and no page bytes it
+// hands out ever change: the file lends views it never writes again, and
+// the pager never writes a page it holds. These tests pin that, the
+// in-place B-tree search against the decode-based one, and cursor errors
+// surfacing from scans.
 
-// checkCacheMatchesFile fails unless nothing is dirty and no
-// before-image is left, the page count matches the file, and every
-// cached page holds the file's bytes.
-func checkCacheMatchesFile(t *testing.T, p *Pager, step string) {
+// checkNoOverlay fails unless the pager holds no transaction and no
+// overlay page, dirty flag or before-image.
+func checkNoOverlay(t *testing.T, p *Pager, step string) {
 	t.Helper()
-	if len(p.dirty) != 0 || len(p.before) != 0 {
-		t.Fatalf("%s: %d pages still dirty, %d before-images left outside a transaction", step, len(p.dirty), len(p.before))
-	}
-	size, err := p.db.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(p.pageCount)*PageSize != size {
-		t.Fatalf("%s: pager counts %d pages, the file holds %d bytes", step, p.pageCount, size)
-	}
-	buf := make([]byte, PageSize)
-	for pgno, data := range p.cache {
-		if pgno > p.pageCount {
-			t.Fatalf("%s: page %d cached past the end (%d pages)", step, pgno, p.pageCount)
-		}
-		if _, err := p.db.ReadAt(buf, int64(pgno-1)*PageSize); err != nil {
-			t.Fatalf("%s: read page %d: %v", step, pgno, err)
-		}
-		if !bytes.Equal(buf, data) {
-			t.Fatalf("%s: cached page %d differs from the file", step, pgno)
-		}
+	if p.inTx || len(p.pages) != 0 || len(p.dirty) != 0 || len(p.before) != 0 {
+		t.Fatalf("%s: outside a statement the pager holds a transaction (%v), %d overlay pages, %d dirty, %d before-images",
+			step, p.inTx, len(p.pages), len(p.dirty), len(p.before))
 	}
 }
 
-// checkNoInPlaceWrites fails if a page array cached at the last check is
-// still cached with other bytes. Get hands cache entries out read-only
-// and a before-image aliases the entry it replaced, so an entry written
-// in place would survive a rollback with the cache and the file still
-// agreeing. It returns the snapshot for the next check.
-func checkNoInPlaceWrites(t *testing.T, p *Pager, last map[*byte][]byte, step string) map[*byte][]byte {
-	t.Helper()
-	next := make(map[*byte][]byte, len(p.cache))
-	for pgno, data := range p.cache {
-		if old, ok := last[&data[0]]; ok && !bytes.Equal(old, data) {
-			t.Fatalf("%s: cached page %d was written in place", step, pgno)
-		}
-		next[&data[0]] = bytes.Clone(data)
+// handoutVFS is a MemVFS whose database file records every page buffer
+// the pager can hand out through Get — the file's views, the buffers it
+// reads copies into, the overlay pages it writes back — with the bytes
+// each held when it passed by. With views off the file offers no views,
+// so the pager reads by copy as over DiskVFS.
+type handoutVFS struct {
+	*MemVFS
+	name  string
+	views bool
+	seen  map[*byte]handout
+}
+
+// handout is a page buffer and a copy of the bytes it held when noted.
+type handout struct{ data, was []byte }
+
+func (v *handoutVFS) Open(name string) (File, error) {
+	f, err := v.MemVFS.Open(name)
+	if err != nil || name != v.name {
+		return f, err
 	}
-	return next
+	if v.views {
+		return &handoutViewFile{handoutFile{f, v}}, nil
+	}
+	return &handoutFile{f, v}, nil
+}
+
+// note records a page buffer the first time it passes by after a check.
+func (v *handoutVFS) note(data []byte) {
+	if len(data) != PageSize {
+		return
+	}
+	if _, ok := v.seen[&data[0]]; !ok {
+		v.seen[&data[0]] = handout{data, bytes.Clone(data)}
+	}
+}
+
+// check fails if any page buffer noted since the last check holds other
+// bytes now, and forgets them.
+func (v *handoutVFS) check(t *testing.T, step string) {
+	t.Helper()
+	for _, h := range v.seen {
+		if !bytes.Equal(h.data, h.was) {
+			t.Fatalf("%s: a page buffer the pager handed out changed bytes", step)
+		}
+	}
+	clear(v.seen)
+}
+
+type handoutFile struct {
+	File
+	vfs *handoutVFS
+}
+
+func (f *handoutFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	if err == nil {
+		f.vfs.note(p)
+	}
+	return n, err
+}
+
+func (f *handoutFile) WriteAt(p []byte, off int64) (int, error) {
+	f.vfs.note(p)
+	return f.File.WriteAt(p, off)
+}
+
+type handoutViewFile struct{ handoutFile }
+
+func (f *handoutViewFile) ViewPage(pgno uint32) ([]byte, error) {
+	data, err := f.File.(PageViewer).ViewPage(pgno)
+	if err == nil {
+		f.vfs.note(data)
+	}
+	return data, err
 }
 
 // treeShape returns the height of the tree rooted at root (1 = a lone
@@ -86,194 +127,207 @@ func treeShape(t *testing.T, p *Pager, root uint32) (height, rootCells int) {
 }
 
 // TestPagerCacheMatchesFileAcrossStatements runs a randomized workload
-// through one long-lived DB, never reloading, and checks after every
-// statement outside a transaction that the cache equals the file and
-// that no cached page was written in place. The
-// workload splits leaves (right edge and middle), splits interior nodes
-// and the root, frees and recycles pages, and fails statements midway so
-// they roll back; the durable variant also fails commits at their sync.
+// through one long-lived DB and checks after every statement outside a
+// transaction that the pager keeps no overlay, and that no page buffer it
+// handed out since the last check — view, copy or overlay page — has
+// changed bytes. The workload splits leaves (right edge and middle),
+// splits interior nodes and the root, frees and recycles pages, and fails
+// statements midway so they roll back; the durable variant also fails
+// commits at their sync. It runs over a file with page views (MemVFS,
+// the replicated region) and over one without (DiskVFS).
 func TestPagerCacheMatchesFileAcrossStatements(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
-			rnd := rand.New(rand.NewSource(38))
-			vfs := NewMemVFS()
-			db, err := Open(vfs, "cache.db", durable)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			p := db.Pager()
-			text := func(n int) Value { return Text(strings.Repeat(string(rune('a'+rnd.Intn(26))), n)) }
-			// A row's payload is its text plus 18 bytes.
-			rowSize := func() int {
-				switch r := rnd.Intn(5); {
-				case r < 2:
-					return 1280 + rnd.Intn(56) // three per leaf
-				case r < 4:
-					return 2100 + rnd.Intn(1400) // one per leaf
-				default:
-					return 10 + rnd.Intn(200)
-				}
-			}
-			stmt := func(sql string, args ...Value) error {
-				_, err := db.Exec(sql, args...)
-				return err
-			}
-			mustStmt := func(sql string, args ...Value) {
-				t.Helper()
-				if err := stmt(sql, args...); err != nil {
-					t.Fatalf("%s: %v", sql, err)
-				}
-			}
-			var snapshot map[*byte][]byte
-			check := func(step string) {
-				t.Helper()
-				checkCacheMatchesFile(t, p, step)
-				snapshot = checkNoInPlaceWrites(t, p, snapshot, step)
-			}
-			mustStmt("CREATE TABLE t (k INTEGER, v TEXT)")
-			cat, err := openCatalog(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			meta, err := cat.lookup("t")
-			if err != nil || meta == nil {
-				t.Fatalf("lookup t: %v %v", meta, err)
-			}
-			tree := NewBTree(p, meta.Root) // a root page never moves
-			// splitWays predicts how many pages an UPDATE setting rowid's
-			// v leaves its leaf's cells on.
-			splitWays := func(rowid int64, v Value) int {
-				old, found, err := tree.Get(rowid)
-				if err != nil || !found {
-					return 0
-				}
-				vals, err := DecodeRow(old)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return leafSplitWays(t, tree, rowid, EncodeRow([]Value{vals[0], v}))
-			}
-			nextRow, failed, syncFailed, threeWay := int64(1), 0, 0, 0
-			for step := 0; step < 400; step++ {
-				var label string
-				switch op := rnd.Intn(20); {
-				case op < 11: // multi-row insert; sometimes the last row is too big
-					n := 1 + rnd.Intn(10)
-					oversized := rnd.Intn(8) == 0
-					var sb strings.Builder
-					var args []Value
-					sb.WriteString("INSERT INTO t VALUES ")
-					for i := 0; i < n; i++ {
-						if i > 0 {
-							sb.WriteString(", ")
-						}
-						sb.WriteString("(?, ?)")
-						size := rowSize()
-						if oversized && i == n-1 {
-							size = MaxPayload + 1
-						}
-						args = append(args, Int(int64(step)), text(size))
-					}
-					err := stmt(sb.String(), args...)
-					if oversized != (err != nil) {
-						t.Fatalf("step %d: insert of %d rows (oversized=%v): %v", step, n, oversized, err)
-					}
-					if err != nil {
-						failed++
-					} else {
-						nextRow += int64(n)
-					}
-					label = "insert"
-				case op < 14: // rewrite a row in the middle, often growing it
-					// A row grown between two big neighbours splits its
-					// leaf three ways.
-					v, rowid := text(rowSize()), 1+rnd.Int63n(nextRow)
-					if rnd.Intn(2) == 0 {
-						// Grow a row past two thirds of a page, looking a
-						// few times for one between two big neighbours.
-						v = text(2800 + rnd.Intn(MaxPayload-18-2800+1))
-						for try := 0; try < 8 && splitWays(rowid, v) != 3; try++ {
-							rowid = 1 + rnd.Int63n(nextRow)
-						}
-					}
-					if splitWays(rowid, v) == 3 {
-						threeWay++
-					}
-					mustStmt("UPDATE t SET v = ? WHERE rowid = ?", v, Int(rowid))
-					label = "update"
-				case op < 15:
-					lo := 1 + rnd.Int63n(nextRow)
-					mustStmt("DELETE FROM t WHERE rowid >= ? AND rowid < ?", Int(lo), Int(lo+int64(rnd.Intn(4))))
-					label = "delete"
-				case op < 17: // a second table, dropped again: freelist traffic
-					mustStmt("CREATE TABLE IF NOT EXISTS u (v TEXT)")
-					for i := 0; i < 3; i++ {
-						mustStmt("INSERT INTO u VALUES (?)", text(rowSize()))
-						check(fmt.Sprintf("step %d: insert into u", step))
-					}
-					mustStmt("DROP TABLE u")
-					label = "drop"
-				case op < 19: // an explicit transaction, committed or rolled back
-					mustStmt("BEGIN")
-					n := 1 + rnd.Intn(4)
-					for i := 0; i < n; i++ {
-						mustStmt("INSERT INTO t VALUES (?, ?)", Int(int64(step)), text(rowSize()))
-					}
-					if rnd.Intn(2) == 0 {
-						mustStmt("ROLLBACK")
-						label = "rollback"
-					} else {
-						mustStmt("COMMIT")
-						nextRow += int64(n)
-						label = "commit"
-					}
-				default: // a commit failing at its sync (durable only)
-					if !durable {
-						continue
-					}
-					vfs.FailSyncAfter = vfs.syncs + rnd.Intn(2)
-					if err := stmt("INSERT INTO t VALUES (?, ?)", Int(int64(step)), text(rowSize())); err == nil {
-						t.Fatalf("step %d: commit with a failing sync succeeded", step)
-					}
-					vfs.FailSyncAfter = -1
-					syncFailed++
-					label = "failed sync"
-				}
-				check(fmt.Sprintf("step %d: %s", step, label))
-			}
-			if failed == 0 || (durable && syncFailed == 0) {
-				t.Fatalf("no statement rolled back (%d failed inserts, %d failed syncs)", failed, syncFailed)
-			}
-			t.Logf("%d UPDATEs split a leaf three ways", threeWay)
-			if threeWay == 0 {
-				t.Fatal("no UPDATE split a leaf three ways")
-			}
-			// Height 3 with at least two root cells: the root split as an
-			// interior node, and an interior node below it split too.
-			if height, rootCells := treeShape(t, p, meta.Root); height < 3 || rootCells < 2 {
-				t.Fatalf("workload too small: tree height %d, %d root cells", height, rootCells)
-			}
-			// A fresh pager over the same file answers the same.
-			fresh, err := Open(vfs, "cache.db", durable)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			for _, q := range []string{"SELECT rowid, k, length(v) FROM t", "SELECT count(*) FROM t WHERE rowid = 17"} {
-				want, err := fresh.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := db.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-					t.Fatalf("%s: long-lived handle and fresh handle disagree", q)
-				}
+			for _, views := range []bool{true, false} {
+				t.Run(fmt.Sprintf("views=%v", views), func(t *testing.T) {
+					testPagerAcrossStatements(t, durable, views)
+				})
 			}
 		})
+	}
+}
+
+func testPagerAcrossStatements(t *testing.T, durable, views bool) {
+	rnd := rand.New(rand.NewSource(38))
+	mem := NewMemVFS()
+	vfs := &handoutVFS{MemVFS: mem, name: "cache.db", views: views, seen: map[*byte]handout{}}
+	db, err := Open(vfs, "cache.db", durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, ok := db.Pager().view.(*handoutViewFile); ok != views {
+		t.Fatalf("pager reads through views: %v, want %v", ok, views)
+	}
+	p := db.Pager()
+	text := func(n int) Value { return Text(strings.Repeat(string(rune('a'+rnd.Intn(26))), n)) }
+	// A row's payload is its text plus 18 bytes.
+	rowSize := func() int {
+		switch r := rnd.Intn(5); {
+		case r < 2:
+			return 1280 + rnd.Intn(56) // three per leaf
+		case r < 4:
+			return 2100 + rnd.Intn(1400) // one per leaf
+		default:
+			return 10 + rnd.Intn(200)
+		}
+	}
+	stmt := func(sql string, args ...Value) error {
+		_, err := db.Exec(sql, args...)
+		return err
+	}
+	mustStmt := func(sql string, args ...Value) {
+		t.Helper()
+		if err := stmt(sql, args...); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		checkNoOverlay(t, p, step)
+		vfs.check(t, step)
+	}
+	mustStmt("CREATE TABLE t (k INTEGER, v TEXT)")
+	cat, err := openCatalog(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := cat.lookup("t")
+	if err != nil || meta == nil {
+		t.Fatalf("lookup t: %v %v", meta, err)
+	}
+	tree := NewBTree(p, meta.Root) // a root page never moves
+	// splitWays predicts how many pages an UPDATE setting rowid's
+	// v leaves its leaf's cells on.
+	splitWays := func(rowid int64, v Value) int {
+		old, found, err := tree.Get(rowid)
+		if err != nil || !found {
+			return 0
+		}
+		vals, err := DecodeRow(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leafSplitWays(t, tree, rowid, EncodeRow([]Value{vals[0], v}))
+	}
+	nextRow, failed, syncFailed, threeWay := int64(1), 0, 0, 0
+	for step := 0; step < 400; step++ {
+		var label string
+		switch op := rnd.Intn(20); {
+		case op < 11: // multi-row insert; sometimes the last row is too big
+			n := 1 + rnd.Intn(10)
+			oversized := rnd.Intn(8) == 0
+			var sb strings.Builder
+			var args []Value
+			sb.WriteString("INSERT INTO t VALUES ")
+			for i := 0; i < n; i++ {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				sb.WriteString("(?, ?)")
+				size := rowSize()
+				if oversized && i == n-1 {
+					size = MaxPayload + 1
+				}
+				args = append(args, Int(int64(step)), text(size))
+			}
+			err := stmt(sb.String(), args...)
+			if oversized != (err != nil) {
+				t.Fatalf("step %d: insert of %d rows (oversized=%v): %v", step, n, oversized, err)
+			}
+			if err != nil {
+				failed++
+			} else {
+				nextRow += int64(n)
+			}
+			label = "insert"
+		case op < 14: // rewrite a row in the middle, often growing it
+			// A row grown between two big neighbours splits its
+			// leaf three ways.
+			v, rowid := text(rowSize()), 1+rnd.Int63n(nextRow)
+			if rnd.Intn(2) == 0 {
+				// Grow a row past two thirds of a page, looking a
+				// few times for one between two big neighbours.
+				v = text(2800 + rnd.Intn(MaxPayload-18-2800+1))
+				for try := 0; try < 8 && splitWays(rowid, v) != 3; try++ {
+					rowid = 1 + rnd.Int63n(nextRow)
+				}
+			}
+			if splitWays(rowid, v) == 3 {
+				threeWay++
+			}
+			mustStmt("UPDATE t SET v = ? WHERE rowid = ?", v, Int(rowid))
+			label = "update"
+		case op < 15:
+			lo := 1 + rnd.Int63n(nextRow)
+			mustStmt("DELETE FROM t WHERE rowid >= ? AND rowid < ?", Int(lo), Int(lo+int64(rnd.Intn(4))))
+			label = "delete"
+		case op < 17: // a second table, dropped again: freelist traffic
+			mustStmt("CREATE TABLE IF NOT EXISTS u (v TEXT)")
+			for i := 0; i < 3; i++ {
+				mustStmt("INSERT INTO u VALUES (?)", text(rowSize()))
+				check(fmt.Sprintf("step %d: insert into u", step))
+			}
+			mustStmt("DROP TABLE u")
+			label = "drop"
+		case op < 19: // an explicit transaction, committed or rolled back
+			mustStmt("BEGIN")
+			n := 1 + rnd.Intn(4)
+			for i := 0; i < n; i++ {
+				mustStmt("INSERT INTO t VALUES (?, ?)", Int(int64(step)), text(rowSize()))
+			}
+			if rnd.Intn(2) == 0 {
+				mustStmt("ROLLBACK")
+				label = "rollback"
+			} else {
+				mustStmt("COMMIT")
+				nextRow += int64(n)
+				label = "commit"
+			}
+		default: // a commit failing at its sync (durable only)
+			if !durable {
+				continue
+			}
+			vfs.FailSyncAfter = mem.syncs + rnd.Intn(2)
+			if err := stmt("INSERT INTO t VALUES (?, ?)", Int(int64(step)), text(rowSize())); err == nil {
+				t.Fatalf("step %d: commit with a failing sync succeeded", step)
+			}
+			vfs.FailSyncAfter = -1
+			syncFailed++
+			label = "failed sync"
+		}
+		check(fmt.Sprintf("step %d: %s", step, label))
+	}
+	if failed == 0 || (durable && syncFailed == 0) {
+		t.Fatalf("no statement rolled back (%d failed inserts, %d failed syncs)", failed, syncFailed)
+	}
+	t.Logf("%d UPDATEs split a leaf three ways", threeWay)
+	if threeWay == 0 {
+		t.Fatal("no UPDATE split a leaf three ways")
+	}
+	// Height 3 with at least two root cells: the root split as an
+	// interior node, and an interior node below it split too.
+	if height, rootCells := treeShape(t, p, meta.Root); height < 3 || rootCells < 2 {
+		t.Fatalf("workload too small: tree height %d, %d root cells", height, rootCells)
+	}
+	// A fresh pager over the same file answers the same.
+	fresh, err := Open(vfs, "cache.db", durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, q := range []string{"SELECT rowid, k, length(v) FROM t", "SELECT count(*) FROM t WHERE rowid = 17"} {
+		want, err := fresh.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
+			t.Fatalf("%s: long-lived handle and fresh handle disagree", q)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the engine's page granularity. It matches the default state
@@ -42,15 +43,24 @@ const (
 // atomicity and durability across crashes; without it, commits write in
 // place with no journal and no sync (the paper's no-ACID comparison
 // point, §4.2).
+//
+// The file is the only copy of a page that outlives a transaction: Get
+// reads through the file's page views when it offers them (PageViewer)
+// and by copy otherwise, and the pager keeps only the open transaction's
+// overlay. So nothing needs invalidating when someone else rewrites the
+// file between statements (the replicated region's state transfer or
+// tentative rollback).
 type Pager struct {
 	vfs     VFS
 	name    string
 	db      File
+	view    PageViewer // db's page views; nil when it offers none
 	durable bool
 
-	pageCount uint32
-	cache     map[uint32][]byte
-	dirty     map[uint32]bool
+	// The transaction's overlay; empty outside a transaction.
+	pages map[uint32][]byte
+	dirty map[uint32]bool
+	order []uint32 // flush's scratch: the dirty pages in ascending order
 
 	inTx      bool
 	origCount uint32
@@ -74,10 +84,11 @@ func OpenPager(vfs VFS, name string, durable bool) (*Pager, error) {
 		name:    name,
 		db:      db,
 		durable: durable,
-		cache:   make(map[uint32][]byte),
+		pages:   make(map[uint32][]byte),
 		dirty:   make(map[uint32]bool),
 		before:  make(map[uint32][]byte),
 	}
+	p.view, _ = db.(PageViewer)
 	if err := p.recover(); err != nil {
 		_ = db.Close()
 		return nil, err
@@ -107,7 +118,6 @@ func OpenPager(vfs VFS, name string, durable bool) (*Pager, error) {
 		_ = db.Close()
 		return nil, fmt.Errorf("sqldb: unsupported format version %d", v)
 	}
-	p.pageCount = getU32(hdr[hdrPageCount:])
 	return p, nil
 }
 
@@ -115,7 +125,7 @@ func OpenPager(vfs VFS, name string, durable bool) (*Pager, error) {
 func (p *Pager) journalName() string { return p.name + "-journal" }
 
 // initialize lays out a fresh database: header page plus the empty
-// catalog B+tree root.
+// catalog B+tree root, written straight to the file.
 func (p *Pager) initialize() error {
 	hdr := make([]byte, PageSize)
 	copy(hdr, dbMagic[:])
@@ -123,46 +133,12 @@ func (p *Pager) initialize() error {
 	putU32(hdr[hdrPageCount:], 2)
 	putU32(hdr[hdrFreelist:], 0)
 	putU32(hdr[hdrCatalogRoot:], 2)
-	p.pageCount = 2
-	p.cache[1] = hdr
-	p.dirty[1] = true
 	root := make([]byte, PageSize)
 	initLeaf(root)
-	p.cache[2] = root
-	p.dirty[2] = true
-	return p.flush()
-}
-
-// Reload drops the page cache and re-reads the header, picking up
-// external changes to the underlying file. The cache is otherwise valid
-// across statements and transactions — every write the pager makes
-// reaches the file at commit or abort — so a caller reloads only when
-// someone else rewrote the file: the replicated SQL layer does when its
-// state region's Rewrites count moved (a PBFT state transfer or tentative
-// rollback rewrote the region under the engine). It must not be called
-// inside a transaction.
-func (p *Pager) Reload() error {
-	if p.inTx {
-		return ErrInTransaction
-	}
-	clear(p.cache)
-	clear(p.dirty)
-	size, err := p.db.Size()
-	if err != nil {
+	if err := p.Put(1, hdr); err != nil {
 		return err
 	}
-	if size == 0 {
-		return p.initialize()
-	}
-	hdr, err := p.Get(1)
-	if err != nil {
-		return err
-	}
-	if [8]byte(hdr[:8]) != dbMagic {
-		return fmt.Errorf("sqldb: reload: not a database file")
-	}
-	p.pageCount = getU32(hdr[hdrPageCount:])
-	return nil
+	return p.Put(2, root)
 }
 
 // recover rolls back a hot journal left by a crash: restore the
@@ -187,12 +163,8 @@ func (p *Pager) recover() error {
 		return err
 	}
 	defer jf.Close()
-	origCount, hot, err := RollbackJournal(jf, p.db)
-	if err != nil {
+	if err := RollbackJournal(jf, p.db); err != nil {
 		return err
-	}
-	if hot {
-		p.pageCount = origCount
 	}
 	return p.vfs.Delete(p.journalName())
 }
@@ -225,33 +197,33 @@ func WriteJournal(jf File, origCount uint32, before map[uint32][]byte) error {
 }
 
 // RollbackJournal replays the journal jf onto db: restore the
-// before-images, truncate to the original page count, sync. hot is false
-// — and db untouched — when jf is no valid journal: shorter than its
-// header or without the magic, which (the journal is synced before db is
-// written) means db was never modified under it. A record failing its
-// checksum is a torn tail and ends the replay. The caller disposes of
-// the journal afterwards.
-func RollbackJournal(jf, db File) (origCount uint32, hot bool, err error) {
+// before-images, truncate to the original page count, sync. db is left
+// untouched when jf is no valid journal: shorter than its header or
+// without the magic, which (the journal is synced before db is written)
+// means db was never modified under it. A record failing its checksum is
+// a torn tail and ends the replay. The caller disposes of the journal
+// afterwards.
+func RollbackJournal(jf, db File) error {
 	size, err := jf.Size()
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	if size < 12 {
-		return 0, false, nil
+		return nil
 	}
 	hdr := make([]byte, 12)
 	if _, err := jf.ReadAt(hdr, 0); err != nil {
-		return 0, false, err
+		return err
 	}
 	if [8]byte(hdr[:8]) != journalMagic {
-		return 0, false, nil
+		return nil
 	}
-	origCount = getU32(hdr[8:])
+	origCount := getU32(hdr[8:])
 	n := (size - 12) / journalRecSize
 	rec := make([]byte, journalRecSize)
 	for i := int64(0); i < n; i++ {
 		if _, err := jf.ReadAt(rec, 12+i*journalRecSize); err != nil {
-			return 0, false, err
+			return err
 		}
 		pgno := getU32(rec)
 		data := rec[4 : 4+PageSize]
@@ -259,16 +231,13 @@ func RollbackJournal(jf, db File) (origCount uint32, hot bool, err error) {
 			break // torn tail: stop replaying
 		}
 		if _, err := db.WriteAt(data, int64(pgno-1)*PageSize); err != nil {
-			return 0, false, err
+			return err
 		}
 	}
 	if err := db.Truncate(int64(origCount) * PageSize); err != nil {
-		return 0, false, err
+		return err
 	}
-	if err := db.Sync(); err != nil {
-		return 0, false, err
-	}
-	return origCount, true, nil
+	return db.Sync()
 }
 
 func journalChecksum(pgno uint32, data []byte) uint32 {
@@ -279,8 +248,16 @@ func journalChecksum(pgno uint32, data []byte) uint32 {
 	return sum
 }
 
-// NumPages returns the database size in pages.
-func (p *Pager) NumPages() uint32 { return p.pageCount }
+// NumPages returns the database size in pages as the header page
+// records it — inside a transaction, counting the pages it allocated —
+// or 0 when the header cannot be read.
+func (p *Pager) NumPages() uint32 {
+	hdr, err := p.Get(1)
+	if err != nil {
+		return 0
+	}
+	return getU32(hdr[hdrPageCount:])
+}
 
 // CatalogRoot returns the catalog B+tree's root page.
 func (p *Pager) CatalogRoot() (uint32, error) {
@@ -291,37 +268,51 @@ func (p *Pager) CatalogRoot() (uint32, error) {
 	return getU32(hdr[hdrCatalogRoot:]), nil
 }
 
-// Get returns the content of page pgno. The returned slice is the cache
-// entry, handed to every later Get until the page is Put or the cache
-// reloaded, and it may live on as a before-image: callers must treat it
-// as read-only and Put a fresh buffer to modify the page. Writing into
-// it would make the cache disagree with the file, and corrupt a
-// rollback.
+// Get returns the content of page pgno: the transaction's overlay entry,
+// else the file's view of the page, else a copy read from the file (kept
+// in the overlay inside a transaction). Whichever it is, the caller must
+// treat it as read-only and Put a fresh buffer to modify the page: the
+// bytes may be the file's own, or live on as a before-image.
 func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
 		return nil, fmt.Errorf("sqldb: page 0 does not exist")
 	}
-	if data, ok := p.cache[pgno]; ok {
+	if data, ok := p.pages[pgno]; ok {
+		return data, nil
+	}
+	if p.view != nil {
+		data, err := p.view.ViewPage(pgno)
+		if err != nil {
+			return nil, fmt.Errorf("read page %d: %w", pgno, err)
+		}
 		return data, nil
 	}
 	data := make([]byte, PageSize)
 	if _, err := p.db.ReadAt(data, int64(pgno-1)*PageSize); err != nil {
 		return nil, fmt.Errorf("read page %d: %w", pgno, err)
 	}
-	p.cache[pgno] = data
+	if p.inTx {
+		p.pages[pgno] = data
+	}
 	return data, nil
 }
 
-// Put replaces the content of page pgno, keeping the before-image if a
-// transaction is active and the page predates it. Put takes ownership of
-// data: it becomes the cache entry, so the caller must not write into it
-// afterwards. The before-image is the cache entry data replaces, not a
-// copy; that is sound because no cache entry is ever written in place.
+// Put replaces the content of page pgno and takes ownership of data: the
+// caller must not write into it afterwards. Inside a transaction the
+// page joins the overlay, and a page that predates the transaction keeps
+// its before-image: what Get returned for it, not a copy, which is sound
+// because neither the overlay nor the file ever changes bytes Get handed
+// out. Outside a transaction Put writes the page straight to the file;
+// there is nothing to roll back.
 func (p *Pager) Put(pgno uint32, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("sqldb: page data of %d bytes", len(data))
 	}
-	if p.inTx && pgno <= p.origCount {
+	if !p.inTx {
+		_, err := p.db.WriteAt(data, int64(pgno-1)*PageSize)
+		return err
+	}
+	if pgno <= p.origCount {
 		if _, done := p.before[pgno]; !done {
 			old, err := p.Get(pgno)
 			if err != nil {
@@ -330,7 +321,7 @@ func (p *Pager) Put(pgno uint32, data []byte) error {
 			p.before[pgno] = old
 		}
 	}
-	p.cache[pgno] = data
+	p.pages[pgno] = data
 	p.dirty[pgno] = true
 	return nil
 }
@@ -359,14 +350,13 @@ func (p *Pager) Allocate() (uint32, error) {
 		}
 		return head, nil
 	}
-	pgno := p.pageCount + 1
+	pgno := getU32(hdr[hdrPageCount:]) + 1
 	newHdr := make([]byte, PageSize)
 	copy(newHdr, hdr)
 	putU32(newHdr[hdrPageCount:], pgno)
 	if err := p.Put(1, newHdr); err != nil {
 		return 0, err
 	}
-	p.pageCount = pgno
 	zero := make([]byte, PageSize)
 	if err := p.Put(pgno, zero); err != nil {
 		return 0, err
@@ -397,9 +387,12 @@ func (p *Pager) Begin() error {
 	if p.inTx {
 		return ErrInTransaction
 	}
+	hdr, err := p.Get(1)
+	if err != nil {
+		return err
+	}
 	p.inTx = true
-	p.origCount = p.pageCount
-	clear(p.before)
+	p.origCount = getU32(hdr[hdrPageCount:])
 	p.journaled = false
 	return nil
 }
@@ -437,10 +430,17 @@ func (p *Pager) Commit() error {
 			}
 		}
 	}
-	p.inTx = false
-	clear(p.before)
+	p.end()
 	p.Commits++
 	return nil
+}
+
+// end closes the transaction and empties its overlay.
+func (p *Pager) end() {
+	p.inTx = false
+	clear(p.pages)
+	clear(p.dirty)
+	clear(p.before)
 }
 
 // writeJournal persists the before-images and syncs them.
@@ -458,15 +458,20 @@ func (p *Pager) writeJournal() error {
 	return nil
 }
 
-// flush writes dirty pages to the database file.
+// flush writes the dirty pages to the database file in ascending order,
+// so a write that fails (a file that cannot grow) fails at the same page
+// on every run, after the same pages before it.
 func (p *Pager) flush() error {
+	p.order = p.order[:0]
 	for pgno := range p.dirty {
-		data := p.cache[pgno]
-		if _, err := p.db.WriteAt(data, int64(pgno-1)*PageSize); err != nil {
+		p.order = append(p.order, pgno)
+	}
+	slices.Sort(p.order)
+	for _, pgno := range p.order {
+		if _, err := p.db.WriteAt(p.pages[pgno], int64(pgno-1)*PageSize); err != nil {
 			return err
 		}
 	}
-	clear(p.dirty)
 	return nil
 }
 
@@ -480,31 +485,22 @@ func (p *Pager) Rollback() error {
 	return nil
 }
 
-// abort restores before-images and discards dirty state, leaving the
-// cache equal to the restored file.
+// abort writes the before-images back to the file, cuts it back to its
+// size at Begin, and ends the transaction. A failed commit may have
+// written some of the overlay already; every page it could have written
+// is restored or cut off.
 func (p *Pager) abort() {
-	for pgno, img := range p.before {
-		p.cache[pgno] = img
-	}
-	// Pages born in this tx go, whether or not a failed commit had
-	// flushed them already (flush clears dirty).
-	for pgno := p.origCount + 1; pgno <= p.pageCount; pgno++ {
-		delete(p.cache, pgno)
-	}
-	clear(p.dirty)
-	// Write the restored images back so the file matches the cache.
+	count := p.NumPages()
 	for pgno, img := range p.before {
 		_, _ = p.db.WriteAt(img, int64(pgno-1)*PageSize)
 	}
-	if p.pageCount != p.origCount {
+	if count != p.origCount {
 		_ = p.db.Truncate(int64(p.origCount) * PageSize)
-		p.pageCount = p.origCount
 	}
 	if p.journaled {
 		_ = p.vfs.Delete(p.journalName())
 	}
-	p.inTx = false
-	clear(p.before)
+	p.end()
 }
 
 // Close flushes nothing (commits do) and releases the file. A transaction

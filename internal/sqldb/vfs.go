@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -24,6 +25,17 @@ type File interface {
 	Size() (int64, error)
 	// Close releases the file.
 	Close() error
+}
+
+// PageViewer is implemented by a File that can lend its pages out instead
+// of copying them. ViewPage returns page pgno (1-based, PageSize bytes),
+// or the error ReadAt would give for that page. Nobody may write through
+// a view, and the file never changes the bytes of a page it lent: it
+// stores a changed page anew, so a view shows the page as it was when it
+// was taken. The pager reads through views when its file offers them
+// (MemVFS, the replicated region's file) and by copy otherwise (DiskVFS).
+type PageViewer interface {
+	ViewPage(pgno uint32) ([]byte, error)
 }
 
 // VFS abstracts the environment below the engine: file storage plus the
@@ -194,7 +206,7 @@ func (v *MemVFS) Crash() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, f := range v.files {
-		f.data = append([]byte(nil), f.synced...)
+		f.size, f.pages = f.syncedSize, slices.Clone(f.syncedPages)
 	}
 }
 
@@ -215,47 +227,99 @@ func (v *MemVFS) Rand(p []byte) error {
 	return err
 }
 
+// memFile keeps its content in PageSize pages. A stored page is never
+// written again — WriteAt and Truncate store a changed page anew — so
+// ViewPage can lend pages out and Sync can keep the content by copying
+// the page list.
 type memFile struct {
-	vfs    *MemVFS
-	data   []byte
-	synced []byte // content at the last successful Sync (see Crash)
+	vfs   *MemVFS
+	size  int64
+	pages [][]byte // covers size; nil entry = zeros
+	// Content at the last successful Sync (see Crash).
+	syncedSize  int64
+	syncedPages [][]byte
 }
+
+// zeroPage is the view of a memFile page never written; nobody writes it.
+var zeroPage = make([]byte, PageSize)
 
 func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
 	m.vfs.mu.Lock()
 	defer m.vfs.mu.Unlock()
-	if off >= int64(len(m.data)) {
-		return 0, io.EOF
+	n := 0
+	for n < len(p) && off+int64(n) < m.size {
+		pos := off + int64(n)
+		page, po := m.pages[pos/PageSize], int(pos%PageSize)
+		chunk := min(PageSize-po, len(p)-n, int(m.size-pos))
+		if page != nil {
+			copy(p[n:n+chunk], page[po:])
+		} else {
+			clear(p[n : n+chunk])
+		}
+		n += chunk
 	}
-	n := copy(p, m.data[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
+func (m *memFile) ViewPage(pgno uint32) ([]byte, error) {
+	m.vfs.mu.Lock()
+	defer m.vfs.mu.Unlock()
+	if pgno == 0 || int64(pgno)*PageSize > m.size {
+		return nil, io.EOF
+	}
+	if page := m.pages[pgno-1]; page != nil {
+		return page, nil
+	}
+	return zeroPage, nil
+}
+
 func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
 	m.vfs.mu.Lock()
 	defer m.vfs.mu.Unlock()
-	if need := off + int64(len(p)); need > int64(len(m.data)) {
-		grown := make([]byte, need)
-		copy(grown, m.data)
-		m.data = grown
+	if end := off + int64(len(p)); end > m.size {
+		m.resize(end)
 	}
-	copy(m.data[off:], p)
+	for n := 0; n < len(p); {
+		pos := off + int64(n)
+		i, po := pos/PageSize, int(pos%PageSize)
+		chunk := min(PageSize-po, len(p)-n)
+		fresh := make([]byte, PageSize)
+		if old := m.pages[i]; old != nil && chunk < PageSize {
+			copy(fresh, old)
+		}
+		copy(fresh[po:], p[n:n+chunk])
+		m.pages[i] = fresh
+		n += chunk
+	}
 	return len(p), nil
+}
+
+// resize sets the size, dropping whole pages past it and zeroing the
+// rest of a partial last page.
+func (m *memFile) resize(size int64) {
+	n := int((size + PageSize - 1) / PageSize)
+	if n < len(m.pages) {
+		clear(m.pages[n:])
+		m.pages = m.pages[:n]
+	}
+	for len(m.pages) < n {
+		m.pages = append(m.pages, nil)
+	}
+	if tail := int(size % PageSize); size < m.size && tail != 0 && m.pages[n-1] != nil {
+		fresh := make([]byte, PageSize)
+		copy(fresh, m.pages[n-1][:tail])
+		m.pages[n-1] = fresh
+	}
+	m.size = size
 }
 
 func (m *memFile) Truncate(size int64) error {
 	m.vfs.mu.Lock()
 	defer m.vfs.mu.Unlock()
-	if size <= int64(len(m.data)) {
-		m.data = m.data[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, m.data)
-		m.data = grown
-	}
+	m.resize(size)
 	return nil
 }
 
@@ -266,14 +330,15 @@ func (m *memFile) Sync() error {
 	if m.vfs.FailSyncAfter >= 0 && m.vfs.syncs > m.vfs.FailSyncAfter {
 		return fmt.Errorf("sqldb: injected sync failure")
 	}
-	m.synced = append(m.synced[:0], m.data...)
+	m.syncedSize = m.size
+	m.syncedPages = append(m.syncedPages[:0], m.pages...)
 	return nil
 }
 
 func (m *memFile) Size() (int64, error) {
 	m.vfs.mu.Lock()
 	defer m.vfs.mu.Unlock()
-	return int64(len(m.data)), nil
+	return m.size, nil
 }
 
 func (m *memFile) Close() error { return nil }

@@ -7,11 +7,11 @@ package state
 // region.
 type Flusher interface {
 	// Capture is called at a flush point: every mutation so far is
-	// applied and none of the next has started. It copies whatever
-	// changed since the previous Capture and returns the number of pages
-	// copied and a persist function that does only file I/O on those
-	// copies — safe to run concurrently with later mutations and later
-	// Captures. The caller invokes the persists strictly in capture
+	// applied and none of the next has started. It takes whatever
+	// changed since the previous Capture — copies, or page views, which
+	// never change — and returns the number of pages taken and a persist
+	// function that does only file I/O on those bytes — safe to run
+	// concurrently with later mutations and later Captures. The caller invokes the persists strictly in capture
 	// order, one at a time. A nil persist means there is nothing to
 	// write. A persist error concerns the local by-product only; it must
 	// leave the region untouched.

@@ -10,9 +10,9 @@
 package state
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/crypto"
 )
@@ -27,7 +27,9 @@ const Fanout = 16
 // Region is the application-visible replicated memory. The application has
 // free read access but must notify the region before modifying a range
 // (Modify), allowing copy-on-write checkpoint snapshots. WriteAt performs
-// the notification itself.
+// the notification itself. PageView lends a page out without copying it;
+// the region copies a lent page before it next changes, so a view keeps
+// the bytes it had when it was taken.
 //
 // A Region is safe for concurrent use, although the replica confines all
 // writes to its event loop.
@@ -37,9 +39,10 @@ type Region struct {
 	numPages  int
 	size      int64
 	pages     [][]byte // nil entry = all-zero page, not yet allocated
-	shared    []bool   // page is referenced by the newest snapshot
+	shared    []bool   // page is referenced by a snapshot or a view
 	dirtyLeaf []bool   // leaf digest out of date
 	leaf      []crypto.Digest
+	zeroPage  []byte        // the view of every sparse page; never written
 	zeroLeaf  crypto.Digest // digest of an all-zero page
 	anyDirty  bool
 	snaps     map[uint64]*Snapshot
@@ -48,10 +51,6 @@ type Region struct {
 	// between goroutines.
 	flusher     Flusher
 	flushDriven bool
-
-	// rewrites counts the times pages were rewritten underneath the
-	// application (ApplyPage, a Restore that changed a page).
-	rewrites atomic.Uint64
 }
 
 // NewRegion creates a sparse region of size bytes with the given page size
@@ -76,8 +75,9 @@ func NewRegion(size int64, pageSize int) (*Region, error) {
 		dirtyLeaf: make([]bool, numPages),
 		leaf:      make([]crypto.Digest, numPages),
 		snaps:     make(map[uint64]*Snapshot),
+		zeroPage:  make([]byte, pageSize),
 	}
-	r.zeroLeaf = crypto.DigestOf(make([]byte, pageSize))
+	r.zeroLeaf = crypto.DigestOf(r.zeroPage)
 	for i := range r.leaf {
 		r.leaf[i] = r.zeroLeaf
 	}
@@ -143,14 +143,12 @@ func (r *Region) Modify(off, length int64) error {
 }
 
 // touchPageLocked prepares page p for mutation: allocates it if sparse and
-// splits it from any snapshot that shares its backing array.
+// splits it from any snapshot or view that shares its backing array.
 func (r *Region) touchPageLocked(p int) {
 	if r.pages[p] == nil {
 		r.pages[p] = make([]byte, r.pageSize)
 	} else if r.shared[p] {
-		fresh := make([]byte, r.pageSize)
-		copy(fresh, r.pages[p])
-		r.pages[p] = fresh
+		r.pages[p] = bytes.Clone(r.pages[p]) // no zeroing before the copy
 	}
 	r.shared[p] = false
 	r.dirtyLeaf[p] = true
@@ -184,9 +182,10 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // ApplyPage installs fetched page data during state transfer (or a
-// durable replica's recovery): the page is rewritten underneath the
-// application, so Rewrites moves once the bytes are in place and the
-// registered Flusher is invalidated.
+// durable replica's recovery). The page is rewritten underneath the
+// application, so the registered Flusher is invalidated; a view of the
+// page taken before keeps the old bytes. The replica calls it only while
+// no operation executes.
 func (r *Region) ApplyPage(index int, data []byte) error {
 	if index < 0 || index >= r.numPages {
 		return fmt.Errorf("state: page %d out of range [0,%d)", index, r.numPages)
@@ -198,19 +197,30 @@ func (r *Region) ApplyPage(index int, data []byte) error {
 	r.touchPageLocked(index)
 	copy(r.pages[index], data)
 	r.mu.Unlock()
-	r.rewrites.Add(1)
 	if r.flusher != nil {
 		r.flusher.Invalidate()
 	}
 	return nil
 }
 
-// Rewrites returns how many times pages were rewritten underneath the
-// application (ApplyPage, Restore); writes through WriteAt and Modify do
-// not count. An application that caches region content across
-// operations may keep its cache while the count stays put, and must drop
-// it when the count moved.
-func (r *Region) Rewrites() uint64 { return r.rewrites.Load() }
+// PageView returns page index's current content without copying it: the
+// region's own bytes, or a shared zero page for a sparse page. Nobody may
+// write through a view. The region copies a viewed page before it next
+// changes it, so a view never changes; it shows the page as it was when
+// the view was taken.
+func (r *Region) PageView(index int) ([]byte, error) {
+	if index < 0 || index >= r.numPages {
+		return nil, fmt.Errorf("state: page %d out of range [0,%d)", index, r.numPages)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	page := r.pages[index]
+	if page == nil {
+		return r.zeroPage, nil
+	}
+	r.shared[index] = true
+	return page, nil
+}
 
 // Page returns a copy of page index's current content.
 func (r *Region) Page(index int) ([]byte, error) {

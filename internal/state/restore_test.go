@@ -89,43 +89,106 @@ func TestReleaseAboveDropsTentativeSnapshots(t *testing.T) {
 	}
 }
 
-// TestRewritesCountsPagesRewrittenUnderneath: Rewrites moves on every
-// ApplyPage and on a Restore that changed a page, and on nothing the
-// application writes itself — the contract a cache of region content
-// (sqlstate's pager) relies on to know when to drop itself.
-func TestRewritesCountsPagesRewrittenUnderneath(t *testing.T) {
+// TestPageViewsNeverChange: a view keeps the bytes it had when it was
+// taken through every way the region changes a page — WriteAt, Modify,
+// ApplyPage, Restore — while reads see the new content; a sparse page
+// views as zeros and an index outside the region is refused.
+func TestPageViewsNeverChange(t *testing.T) {
 	r := mustRegion(t, 16*256, 256)
-	expect := func(want uint64, after string) {
+	if _, err := r.WriteAt(bytes.Repeat([]byte{1}, 4*256), 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Snapshot(1)
+	type taken struct {
+		index int
+		view  []byte
+		bytes []byte
+	}
+	var views []taken
+	view := func(index int) {
 		t.Helper()
-		if got := r.Rewrites(); got != want {
-			t.Fatalf("after %s: Rewrites = %d, want %d", after, got, want)
+		v, err := r.PageView(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Page(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v, want) {
+			t.Fatalf("view of page %d differs from its content", index)
+		}
+		views = append(views, taken{index, v, bytes.Clone(v)})
+	}
+	for i := 0; i < 6; i++ { // pages 4 and 5 are sparse
+		view(i)
+	}
+	if _, err := r.WriteAt([]byte("written"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Modify(256, 10); err != nil {
+		t.Fatal(err)
+	}
+	view(0)
+	if err := r.ApplyPage(2, bytes.Repeat([]byte{9}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.WriteAt([]byte("fresh"), 4*256); err != nil {
+		t.Fatal(err)
+	}
+	view(2)
+	r.Restore(snap)
+	if r.Root() != snap.Root() {
+		t.Fatal("Restore did not bring back the snapshot's content")
+	}
+	if _, err := r.WriteAt([]byte("again"), 5*256); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		if !bytes.Equal(v.view, v.bytes) {
+			t.Fatalf("view %d (page %d) changed after it was taken", i, v.index)
 		}
 	}
-	if _, err := r.WriteAt([]byte("mine"), 0); err != nil {
-		t.Fatal(err)
+	if v, _ := r.PageView(5); v[0] != 'a' {
+		t.Fatal("a view taken after a write does not show it")
 	}
-	if err := r.Modify(300, 10); err != nil {
-		t.Fatal(err)
+	for _, index := range []int{-1, 16} {
+		if _, err := r.PageView(index); err == nil {
+			t.Fatalf("PageView(%d) outside the region succeeded", index)
+		}
 	}
-	expect(0, "WriteAt and Modify")
-	snap := r.Snapshot(1)
-	r.Restore(snap)
-	expect(0, "a Restore that changed nothing")
-	if _, err := r.WriteAt([]byte("later"), 0); err != nil {
-		t.Fatal(err)
+}
+
+// TestPageViewsBesideSnapshots takes views and reads them on one
+// goroutine while another writes, snapshots and computes roots — the
+// replica's exec worker beside its protocol loop. Run under -race.
+func TestPageViewsBesideSnapshots(t *testing.T) {
+	r := mustRegion(t, 64*256, 256)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(1); seq <= 200; seq++ {
+			_ = r.Snapshot(seq)
+			_ = r.Root()
+			r.ReleaseBelow(seq)
+		}
+	}()
+	sum := 0
+	for i := 0; i < 2000; i++ {
+		index := i % 64
+		if _, err := r.WriteAt([]byte{byte(i)}, int64(index)*256+int64(i%256)); err != nil {
+			t.Fatal(err)
+		}
+		v, err := r.PageView((i * 7) % 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range v {
+			sum += int(b)
+		}
 	}
-	r.Restore(snap)
-	expect(1, "a Restore that rewrote a page")
-	page := bytes.Repeat([]byte{9}, 256)
-	if err := r.ApplyPage(3, page); err != nil {
-		t.Fatal(err)
+	<-done
+	if sum == 0 {
+		t.Fatal("views read nothing written")
 	}
-	if err := r.ApplyPage(4, page); err != nil {
-		t.Fatal(err)
-	}
-	expect(3, "two ApplyPage calls")
-	if err := r.ApplyPage(99, page); err == nil {
-		t.Fatal("ApplyPage out of range succeeded")
-	}
-	expect(3, "a refused ApplyPage")
 }

@@ -80,8 +80,9 @@ func (r *Region) ReleaseAbove(seq uint64) {
 
 // Restore rewinds the live region to the snapshot's content (rollback of
 // tentative executions on a view change). Only pages whose digest differs
-// are touched; when any was, Rewrites moves once they are all in place and
-// the registered Flusher is invalidated.
+// are touched; when any was, the registered Flusher is invalidated. Views
+// taken before keep the old bytes. The replica calls it only while no
+// operation executes.
 func (r *Region) Restore(s *Snapshot) {
 	r.mu.Lock()
 	r.refreshLeavesLocked()
@@ -99,11 +100,7 @@ func (r *Region) Restore(s *Snapshot) {
 		}
 	}
 	r.mu.Unlock()
-	if !rewritten {
-		return
-	}
-	r.rewrites.Add(1)
-	if r.flusher != nil {
+	if rewritten && r.flusher != nil {
 		r.flusher.Invalidate()
 	}
 }

@@ -254,7 +254,7 @@ func (m *Metrics) OnEvent(ev pbft.Event) {
 // --- Snapshots -----------------------------------------------------------
 
 // Snapshot is a point-in-time copy of every aggregate. Snapshots support
-// Sub for per-window deltas (the bench prints one per experiment).
+// Sub for the delta over a measurement window.
 type Snapshot struct {
 	Commits            uint64
 	Batches            uint64
@@ -338,7 +338,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return out
 }
 
-// Summary renders a one-line digest (the bench prints it per experiment).
+// Summary renders a one-line digest (examples/quickstart prints it on
+// exit).
 func (s Snapshot) Summary() string {
 	return fmt.Sprintf(
 		"commits=%d batches=%d reqs=%d batch-avg=%.1f view-changes=%d checkpoints=%d stable=%d state-transfers=%d sessions(hello/join/leave/evict)=%d/%d/%d/%d",

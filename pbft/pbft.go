@@ -88,13 +88,12 @@
 // while CongestionWindow sequence numbers await execution, and a batch
 // carries at most MaxBatch requests and MaxBatchBytes of payload (the
 // bound in force is ReplicaInfo.BatchWindow and the pbft_batch_window
-// gauge). DefaultOptions also enables Options.AsyncReap, a local knob
-// outside the replicated contract, which overlaps agreement with
-// application execution: completed applies are reaped — and replies
-// sent, still strictly in sequence order — off the protocol loop, with
-// checkpoints, membership operations and view changes draining
-// everything exactly as before, so checkpoint digests stay
-// byte-identical to synchronous reaping.
+// gauge). A replica overlaps agreement with application execution:
+// completed applies are reaped — and replies sent, still strictly in
+// sequence order — off the protocol loop unless a span already finished
+// inline, with checkpoints, membership operations and view changes
+// draining everything first, so checkpoint digests stay byte-identical
+// whichever way a span was reaped.
 // Message memory (sealed envelopes, seal/verify scratch, MAC states, UDP
 // receive buffers) is pooled; see ARCHITECTURE.md, "Hot path & memory
 // discipline", for the ownership rules and the allocation budget CI

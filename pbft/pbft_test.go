@@ -152,8 +152,9 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	if err := dep.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// Files written before the adaptive batch controller was removed
-	// carry its option; they must still load and validate.
+	// Files written before the adaptive batch controller and the
+	// synchronous-reap knob were removed carry their options; they must
+	// still load and validate.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,8 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	}
 	oldPath := filepath.Join(dir, "config-adaptive.json")
 	oldRaw := bytes.Replace(raw, []byte(maxBatch), []byte(maxBatch+`
-    "AdaptiveBatching": true,`), 1)
+    "AdaptiveBatching": true,
+    "AsyncReap": true,`), 1)
 	if err := os.WriteFile(oldPath, oldRaw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,14 @@ type Options struct {
 	// DiskDir hosts the database's disk image and its rollback
 	// journal. Required when Durable, unused otherwise.
 	DiskDir string
-	// Durable selects full ACID: the database's disk image is brought
-	// up to date — rollback journal fsynced, then image fsynced — before
-	// any reply for an operation leaves this replica. A replica does it
-	// once per execution span; a standalone App (a region nobody drives)
-	// once per mutating statement. False reproduces the paper's no-ACID
-	// comparison mode (§4.2): no image, no journal, no fsync.
+	// Durable selects full ACID: the database also has a disk image on
+	// DiskDir, brought up to date — rollback journal fsynced, then image
+	// fsynced — before any reply for an operation leaves this replica. A
+	// replica does it once per execution span; a standalone App (a
+	// region nobody drives) once per mutating statement. The region stays
+	// the database's only copy in memory: the image is written from it.
+	// False reproduces the paper's no-ACID comparison mode (§4.2): no
+	// image, no journal, no fsync.
 	Durable bool
 	// Authorize, if set, authorizes dynamic-client joins (§3.1): it
 	// receives the identification buffer and returns the principal.
@@ -41,10 +43,6 @@ type App struct {
 	vfs  *VFS
 	db   *sqldb.DB
 	err  error // initialization failure, reported on every Execute
-	// loadedRewrites is the region's Rewrites count as of the shared
-	// pager's open or last Reload: its cache equals the region until the
-	// count moves.
-	loadedRewrites uint64
 	// selfFlush is set when the App keeps a disk image and nobody
 	// drives the region's flush points: Execute then flushes after
 	// every mutating statement.
@@ -95,9 +93,7 @@ func (a *App) attach(region *state.Region, vfs *VFS) {
 		return
 	}
 	// The pager never journals here: the file is memory, and the disk
-	// image has its own journal below the VFS. Its cache is loaded from
-	// the region as of this count (see syncPager).
-	a.loadedRewrites = region.Rewrites()
+	// image has its own journal below the VFS.
 	db, err := sqldb.Open(vfs, a.opts.DBName, false)
 	if err != nil {
 		a.err = err
@@ -137,12 +133,12 @@ func (a *App) Authorize(appAuth []byte) (string, bool) {
 //
 // App is not a core.Sharder, so the replica runs every operation
 // serially, at any Options.ExecShards, on the long-lived database handle
-// with the per-operation nondeterminism installed. That handle's page
-// cache lives across operations: every write the pager makes reaches the
-// region by the end of its statement, so the cache only goes stale when
-// the replica rewrites pages underneath it (state transfer, tentative
-// rollback), which moves the region's Rewrites count; Execute reloads the
-// pager then, and only then.
+// with the per-operation nondeterminism installed. The handle keeps no
+// page past a statement: it reads the region's own pages through views
+// (copies, when a database page spans several region pages) and writes
+// each statement's pages back before it returns. So when the replica
+// rewrites pages between operations (state transfer, tentative
+// rollback), the next statement simply reads the new bytes.
 func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	if a.err != nil {
 		return encodeError(a.err)
@@ -159,17 +155,14 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 		case *sqldb.BeginStmt, *sqldb.CommitStmt, *sqldb.RollbackStmt:
 			// Explicit transactions cannot span ordered operations: a
 			// client BEGIN would hold the shared handle's transaction
-			// open across requests, wedging every later operation
-			// (syncPager refuses inside a transaction). Each mutating
+			// open across requests, and with it pages a state transfer
+			// or tentative rollback may rewrite. Each mutating
 			// operation already commits atomically; reject transaction
 			// control deterministically, identically at every replica.
 			return encodeError(errTxnControl)
 		}
 	}
 	a.vfs.SetNonDet(nd)
-	if err := a.syncPager(); err != nil {
-		return encodeError(err)
-	}
 	switch kind {
 	case opQuery:
 		if parseErr != nil {
@@ -198,29 +191,6 @@ func (a *App) Execute(op []byte, nd core.NonDetValues, readOnly bool) []byte {
 	default:
 		return encodeError(fmt.Errorf("sqlstate: unknown op kind %d", kind))
 	}
-}
-
-// syncPager brings the shared pager's cache up to date with the region
-// before a statement: a Reload when the region was rewritten underneath
-// it since the pager's open or last Reload, nothing otherwise. Inside a
-// transaction it refuses with sqldb.ErrInTransaction either way, as
-// Reload would.
-func (a *App) syncPager() error {
-	pager := a.db.Pager()
-	if pager.InTransaction() {
-		return sqldb.ErrInTransaction
-	}
-	// Read the count before reloading: a rewrite landing during the
-	// Reload moves it past the recorded value and forces the next one.
-	n := a.vfs.region.Rewrites()
-	if n == a.loadedRewrites {
-		return nil
-	}
-	if err := pager.Reload(); err != nil {
-		return err
-	}
-	a.loadedRewrites = n
-	return nil
 }
 
 // errTxnControl rejects BEGIN/COMMIT/ROLLBACK on the replicated path.

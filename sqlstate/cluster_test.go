@@ -44,97 +44,93 @@ func insertVote(voter string) []byte {
 // TestSpanFlushRepliesWaitForPersist: with every replica's image fsync
 // parked on a channel, the span that holds an insert has executed
 // everywhere — and no reply for it, tentative or committed, has left any
-// replica, whether spans are reaped by the reaper goroutine or on the
-// protocol loop. Releasing the fsync releases the replies.
+// replica. Releasing the fsync releases the replies.
 func TestSpanFlushRepliesWaitForPersist(t *testing.T) {
 	for _, tentative := range []bool{true, false} {
-		for _, async := range []bool{true, false} {
-			t.Run(fmt.Sprintf("tentative=%v/asyncReap=%v", tentative, async), func(t *testing.T) {
-				var hold atomic.Bool
-				gate := make(chan struct{})
-				entered := make(chan uint32, 64) // never blocks a replica
-				disks := make([]*sqlstate.HookDisk, 4)
-				for id := range disks {
-					id := uint32(id)
-					disks[id] = sqlstate.NewHookDisk()
-					disks[id].SetHook(func(file, op string) error {
-						if hold.Load() && file == "state.db.image" && op == "sync" {
-							entered <- id
-							<-gate
-						}
-						return nil
-					})
-				}
-				o := flushClusterOpts()
-				o.TentativeExecution = tentative
-				o.AsyncReap = async
-				c, err := harness.NewCluster(harness.ClusterOptions{Opts: o, NumClients: 1, Seed: 5, App: diskFactory(disks)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Stop()
-				// A failing assertion must not leave the replicas
-				// parked where Stop would wait for them.
-				release := sync.OnceFunc(func() { hold.Store(false); close(gate) })
-				defer release()
-				cl, err := c.Client(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cl.Close()
-				if _, err := cl.Invoke(context.Background(), insertVote("warm")); err != nil {
-					t.Fatal(err)
-				}
-				if !c.WaitConverged(1, 5*time.Second) {
-					t.Fatal("warm-up did not converge")
-				}
-				toClient := func() (n uint64) {
-					for id := uint32(0); id < 4; id++ {
-						n += c.Net.LinkStats(harness.ReplicaAddr(id), harness.ClientAddr(0)).Packets
+		t.Run(fmt.Sprintf("tentative=%v", tentative), func(t *testing.T) {
+			var hold atomic.Bool
+			gate := make(chan struct{})
+			entered := make(chan uint32, 64) // never blocks a replica
+			disks := make([]*sqlstate.HookDisk, 4)
+			for id := range disks {
+				id := uint32(id)
+				disks[id] = sqlstate.NewHookDisk()
+				disks[id].SetHook(func(file, op string) error {
+					if hold.Load() && file == "state.db.image" && op == "sync" {
+						entered <- id
+						<-gate
 					}
-					return n
+					return nil
+				})
+			}
+			o := flushClusterOpts()
+			o.TentativeExecution = tentative
+			c, err := harness.NewCluster(harness.ClusterOptions{Opts: o, NumClients: 1, Seed: 5, App: diskFactory(disks)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			// A failing assertion must not leave the replicas
+			// parked where Stop would wait for them.
+			release := sync.OnceFunc(func() { hold.Store(false); close(gate) })
+			defer release()
+			cl, err := c.Client(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Invoke(context.Background(), insertVote("warm")); err != nil {
+				t.Fatal(err)
+			}
+			if !c.WaitConverged(1, 5*time.Second) {
+				t.Fatal("warm-up did not converge")
+			}
+			toClient := func() (n uint64) {
+				for id := uint32(0); id < 4; id++ {
+					n += c.Net.LinkStats(harness.ReplicaAddr(id), harness.ClientAddr(0)).Packets
 				}
-				// The warm-up call completed on a quorum; the last
-				// replica's reply to it may still be on its way, and
-				// must not be counted against the held insert below.
-				for deadline := time.Now().Add(5 * time.Second); toClient() < 4; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("only %d warm-up replies reached the client", toClient())
-					}
+				return n
+			}
+			// The warm-up call completed on a quorum; the last
+			// replica's reply to it may still be on its way, and
+			// must not be counted against the held insert below.
+			for deadline := time.Now().Add(5 * time.Second); toClient() < 4; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d warm-up replies reached the client", toClient())
 				}
+			}
 
-				hold.Store(true)
-				before := toClient()
-				call := cl.Submit(context.Background(), insertVote("held"))
-				for seen := 0; seen < 4; seen++ {
-					select {
-					case <-entered:
-					case <-time.After(5 * time.Second):
-						t.Fatalf("only %d replicas reached the span's image fsync", seen)
-					}
-				}
-				// Every replica executed the insert and sits in its
-				// persist. Give a reply that ignored the persist time to
-				// show up.
-				time.Sleep(50 * time.Millisecond)
+			hold.Store(true)
+			before := toClient()
+			call := cl.Submit(context.Background(), insertVote("held"))
+			for seen := 0; seen < 4; seen++ {
 				select {
-				case <-call.Done():
-					t.Fatal("the call completed while every persist was still running")
-				default:
+				case <-entered:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("only %d replicas reached the span's image fsync", seen)
 				}
-				if got := toClient(); got != before {
-					t.Fatalf("%d packets reached the client before any persist returned", got-before)
-				}
-				release()
-				reply, err := call.Result()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r, err := sqlstate.DecodeResponse(reply); err != nil || r.Result.RowsAffected != 1 {
-					t.Fatalf("held insert answered %+v, %v", r, err)
-				}
-			})
-		}
+			}
+			// Every replica executed the insert and sits in its
+			// persist. Give a reply that ignored the persist time to
+			// show up.
+			time.Sleep(50 * time.Millisecond)
+			select {
+			case <-call.Done():
+				t.Fatal("the call completed while every persist was still running")
+			default:
+			}
+			if got := toClient(); got != before {
+				t.Fatalf("%d packets reached the client before any persist returned", got-before)
+			}
+			release()
+			reply, err := call.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, err := sqlstate.DecodeResponse(reply); err != nil || r.Result.RowsAffected != 1 {
+				t.Fatalf("held insert answered %+v, %v", r, err)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,10 @@ package sqlstate
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -348,7 +350,7 @@ func TestAppDeterministicAcrossReplicas(t *testing.T) {
 
 func TestAppSurvivesRegionRewrite(t *testing.T) {
 	// Simulate a state transfer: replica B's region is overwritten with
-	// replica A's content; B's engine must pick it up via Reload.
+	// replica A's content; B's engine must read it on its next statement.
 	regionA := testRegion(t)
 	appA := NewApp(Options{Durable: false, InitSQL: []string{"CREATE TABLE t (v INTEGER)"}})
 	appA.AttachState(regionA)
@@ -379,6 +381,86 @@ func TestAppSurvivesRegionRewrite(t *testing.T) {
 	}
 	if r.Rows.Data[0][0].I != 5 {
 		t.Fatalf("count after region rewrite = %v", r.Rows.Data)
+	}
+}
+
+// TestRegionFullInsertRollsBack: an INSERT that outgrows the region fails
+// inside the commit's flush, after the pages below the first one past
+// the region's end (the header, the interior root, the last leaf) were
+// already written to it. The rollback must put back every one of them —
+// the region root and every row equal their values before the statement
+// — and the next INSERT must succeed, as must the disk image's rebuild.
+func TestRegionFullInsertRollsBack(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			region, err := state.NewRegion(16*sqldb.PageSize, sqldb.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{InitSQL: []string{"CREATE TABLE t (v TEXT)"}}
+			if durable {
+				opts.Durable, opts.DiskDir = true, t.TempDir()
+			}
+			app := NewApp(opts)
+			app.AttachState(region)
+			nd := core.NonDetValues{Time: time.Unix(7, 0)}
+			big := Text(strings.Repeat("x", 3000)) // one row per leaf
+			for i := 0; i < 5; i++ {
+				mustExec(t, app, EncodeExec("INSERT INTO t VALUES (?)", big))
+			}
+			rows := func() string {
+				t.Helper()
+				r, err := DecodeResponse(app.Execute(EncodeQuery("SELECT rowid, length(v) FROM t"), nd, true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(r.Rows.Data)
+			}
+			wantRoot, wantRows := region.Root(), rows()
+
+			var sb strings.Builder
+			var args []sqldb.Value
+			sb.WriteString("INSERT INTO t VALUES (?)")
+			args = append(args, big)
+			for i := 1; i < 12; i++ {
+				sb.WriteString(", (?)")
+				args = append(args, big)
+			}
+			_, err = DecodeResponse(app.Execute(EncodeExec(sb.String(), args...), nd, false))
+			if err == nil || !strings.Contains(err.Error(), "grew past the region capacity") {
+				t.Fatalf("INSERT past the region's end: %v", err)
+			}
+			if region.Root() != wantRoot {
+				t.Fatal("the failed INSERT changed the region")
+			}
+			if got := rows(); got != wantRows {
+				t.Fatalf("rows after the failed INSERT:\n%s\nwant\n%s", got, wantRows)
+			}
+
+			mustExec(t, app, EncodeExec("INSERT INTO t VALUES ('small')"))
+			r, err := DecodeResponse(app.Execute(EncodeQuery("SELECT count(*), max(rowid) FROM t"), nd, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(r.Rows.Data); got != "[[6 6]]" {
+				t.Fatalf("count, max rowid after the next INSERT = %s, want [[6 6]]", got)
+			}
+			if !durable {
+				return
+			}
+			img, err := OpenDiskImage(opts.DiskDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer img.Close()
+			imgRows, err := img.Query("SELECT rowid, length(v) FROM t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprint(imgRows.Data), rows(); got != want {
+				t.Fatalf("disk image rows %s, region rows %s", got, want)
+			}
+		})
 	}
 }
 
@@ -420,9 +502,8 @@ func TestDurableRequiresDiskDir(t *testing.T) {
 
 // TestTxnControlRejectedIdentically: explicit transaction control is
 // rejected deterministically — a BEGIN that slipped through would hold
-// the shared handle's transaction open across ordered operations,
-// wedging every later Reload — and the service answers normally
-// afterwards.
+// the shared handle's transaction open across ordered operations — and
+// the service answers normally afterwards.
 func TestTxnControlRejectedIdentically(t *testing.T) {
 	region, err := state.NewRegion(1<<20, 0)
 	if err != nil {

@@ -49,8 +49,9 @@ type diskFS interface {
 // file maps onto the region and is the only file there is. With a disk
 // directory it also keeps the database's disk image (§3.2) and is the
 // region's state.Flusher: regionFile.WriteAt tracks what each flush
-// interval dirtied, Capture copies it out, and the persist it returns
-// brings the image to the captured state under a synced rollback journal.
+// interval dirtied, Capture takes it from the region, and the persist it
+// returns brings the image to the captured state under a synced rollback
+// journal.
 type VFS struct {
 	mu     sync.Mutex
 	region *state.Region
@@ -131,7 +132,7 @@ func (v *VFS) imageName() string { return v.dbName + ".image" }
 // recoverImage rolls a hot journal back onto the image, empties the
 // journal and returns the image's size.
 func (v *VFS) recoverImage() (int64, error) {
-	if _, _, err := sqldb.RollbackJournal(v.journal, v.image); err != nil {
+	if err := sqldb.RollbackJournal(v.journal, v.image); err != nil {
 		return 0, err
 	}
 	if err := v.journal.Truncate(0); err != nil {
@@ -178,13 +179,22 @@ func (v *VFS) Rand(p []byte) error {
 
 // Open implements sqldb.VFS. The region database is the only file: the
 // pager above runs non-journaled (crash atomicity of memory is
-// meaningless), and the image's journal is the VFS's own business.
+// meaningless), and the image's journal is the VFS's own business. When
+// a region page is a database page, the file lends the pager the
+// region's pages (sqldb.PageViewer); otherwise the pager reads copies.
 func (v *VFS) Open(name string) (sqldb.File, error) {
 	if name != v.dbName {
 		return nil, fmt.Errorf("sqlstate: no file %q (only the region database)", name)
 	}
-	return &regionFile{vfs: v}, nil
+	f := &regionFile{vfs: v}
+	if v.viewable() {
+		return &regionViewFile{f}, nil
+	}
+	return f, nil
 }
+
+// viewable reports whether a database page is exactly one region page.
+func (v *VFS) viewable() bool { return v.region.PageSize() == sqldb.PageSize }
 
 // Delete implements sqldb.VFS.
 func (v *VFS) Delete(name string) error {
@@ -252,14 +262,20 @@ func (v *VFS) noteWrite(off int64, n int) {
 		}
 		v.dirty[pgno] = struct{}{}
 		if pgno <= v.origPages {
-			v.before[pgno] = v.readPage(pgno)
+			v.before[pgno] = v.page(pgno)
 		}
 	}
 }
 
-// readPage copies database page pgno out of the region (the range is
-// inside the region by construction, so the read cannot fail).
-func (v *VFS) readPage(pgno uint32) []byte {
+// page returns database page pgno as the region holds it now, bytes that
+// never change: a view of the region page, or a copy when a database
+// page spans several region pages. The page is inside the region by
+// construction, so reading it cannot fail.
+func (v *VFS) page(pgno uint32) []byte {
+	if v.viewable() {
+		data, _ := v.region.PageView(int(pgno - 1))
+		return data
+	}
 	data := make([]byte, sqldb.PageSize)
 	_, _ = v.region.ReadAt(data, int64(pgno-1)*sqldb.PageSize)
 	return data
@@ -270,12 +286,14 @@ func (v *VFS) readPage(pgno uint32) []byte {
 // the tracked pages no longer say how the image differs from it.
 func (v *VFS) Invalidate() { v.stale.Store(true) }
 
-// Capture implements state.Flusher: copy the flush interval's dirty pages
-// out of the region and start the next interval. The persist it returns
-// journals the before-images, fsyncs the journal, writes the pages to the
-// image, fsyncs it and invalidates the journal — once, however many
-// statements dirtied a page. A stale image is rebuilt wholesale instead.
-// After a persist failed, the image is left alone for good.
+// Capture implements state.Flusher: take the flush interval's dirty pages
+// from the region — bytes that never change (see page), so the persist
+// may run beside later mutations — and start the next interval. The
+// persist it returns journals the before-images, fsyncs the journal,
+// writes the pages to the image, fsyncs it and invalidates the journal —
+// once, however many statements dirtied a page. A stale image is rebuilt
+// wholesale instead. After a persist failed, the image is left alone for
+// good.
 func (v *VFS) Capture() (int, func() error) {
 	if v.disk == nil {
 		return 0, nil
@@ -298,7 +316,7 @@ func (v *VFS) Capture() (int, func() error) {
 	}
 	pages := make(map[uint32][]byte, len(v.dirty))
 	for pgno := range v.dirty {
-		pages[pgno] = v.readPage(pgno)
+		pages[pgno] = v.page(pgno)
 	}
 	origPages, before := v.origPages, v.before
 	v.resetTracking(size)
@@ -464,6 +482,20 @@ func (f *regionFile) Truncate(size int64) error {
 		f.vfs.stale.Store(true)
 	}
 	return f.vfs.setLogicalSize(size)
+}
+
+// regionViewFile is the region database file lending its pages out: a
+// database page is one region page, and the region never writes a page
+// it lent.
+type regionViewFile struct{ *regionFile }
+
+var _ sqldb.PageViewer = (*regionViewFile)(nil)
+
+func (f *regionViewFile) ViewPage(pgno uint32) ([]byte, error) {
+	if pgno == 0 || int64(pgno)*sqldb.PageSize > f.capacity() {
+		return nil, fmt.Errorf("sqlstate: read beyond region capacity")
+	}
+	return f.vfs.region.PageView(int(pgno - 1))
 }
 
 // Sync is a no-op: the file is memory; its disk image is flushed at flush
